@@ -6,9 +6,9 @@
 //! node, and within a probe the descent of `LabelUpdateSYN` re-derives
 //! cuts whose function (and criticality profile) it has already
 //! decomposed. A [`DecompCache`] memoizes the *outcome* of one
-//! decomposition attempt — success (as a structural [`LutTemplate`]),
-//! "no realization", or a blown node ceiling — keyed by everything the
-//! attempt's verdict depends on and nothing else:
+//! decomposition attempt — a structural [`LutTemplate`], or `None` for
+//! "no realization" — keyed by everything the attempt's verdict depends
+//! on and nothing else:
 //!
 //! * the cut function's truth table **in cut order** (the caller's input
 //!   order — the decomposition pipeline re-sorts internally by
@@ -19,17 +19,11 @@
 //!   takes maxima, so only the differences matter — normalizing by
 //!   `height` makes signatures hit across probes at different absolute
 //!   labels with the same slack profile);
-//! * the LUT input bound `k`, the encoder wire allowance `max_wires`,
-//!   and the node ceiling `bdd_limit` (a different ceiling can change
-//!   the verdict, so it is part of the key, which keeps every cached
-//!   verdict deterministic).
+//! * the LUT input bound `k` and the encoder wire allowance `max_wires`.
 //!
 //! Because the cached value is a pure function of its key, concurrent
 //! workers may race to insert the same entry without affecting results:
-//! whoever wins stores the same value the loser computed. Managers
-//! themselves are **thread-confined** — a [`crate::Manager`] is built,
-//! used, and dropped inside one decomposition attempt on one thread;
-//! only the manager-free template crosses threads via this cache.
+//! whoever wins stores the same value the loser computed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,25 +73,6 @@ pub struct SignatureKey {
     pub k: u8,
     /// Encoder wires allowed per extraction.
     pub max_wires: u8,
-    /// BDD-node ceiling of the attempt (`None` = unlimited).
-    pub bdd_limit: Option<usize>,
-}
-
-/// The memoized verdict of one decomposition attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CachedOutcome {
-    /// A realization meeting the height constraint was found.
-    Realized(LutTemplate),
-    /// No realization exists under these constraints.
-    NoRealization,
-    /// The attempt blew through its node ceiling; the recorded counts
-    /// replay the original [`crate::BddError::NodeLimit`] faithfully.
-    NodeLimit {
-        /// Nodes in the manager when the ceiling tripped.
-        nodes: usize,
-        /// The configured ceiling.
-        limit: usize,
-    },
 }
 
 /// Thread-safe memo table for decomposition outcomes, with hit/miss
@@ -107,7 +82,8 @@ pub enum CachedOutcome {
 /// skipped, so behaviour is unaffected).
 #[derive(Debug)]
 pub struct DecompCache {
-    map: Mutex<HashMap<SignatureKey, CachedOutcome>>,
+    /// Each attempt's realization, or `None` when none exists.
+    map: Mutex<HashMap<SignatureKey, Option<LutTemplate>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     capacity: usize,
@@ -140,7 +116,7 @@ impl DecompCache {
     }
 
     /// Looks up a signature, counting the hit or miss.
-    pub fn get(&self, key: &SignatureKey) -> Option<CachedOutcome> {
+    pub fn get(&self, key: &SignatureKey) -> Option<Option<LutTemplate>> {
         let got = self
             .map
             .lock()
@@ -162,7 +138,7 @@ impl DecompCache {
     /// Stores an outcome (dropped silently once the cache is full; a
     /// racing insert of the same key keeps whichever value landed first
     /// — both are identical by construction).
-    pub fn insert(&self, key: SignatureKey, outcome: CachedOutcome) {
+    pub fn insert(&self, key: SignatureKey, outcome: Option<LutTemplate>) {
         let mut map = self.map.lock().expect("decomp cache poisoned");
         if map.len() >= self.capacity && !map.contains_key(&key) {
             return;
@@ -215,7 +191,6 @@ mod tests {
             deltas: vec![-1, -2],
             k: 4,
             max_wires: 1,
-            bdd_limit: None,
         }
     }
 
@@ -223,8 +198,8 @@ mod tests {
     fn get_counts_hits_and_misses() {
         let c = DecompCache::new();
         assert!(c.get(&key(6)).is_none());
-        c.insert(key(6), CachedOutcome::NoRealization);
-        assert_eq!(c.get(&key(6)), Some(CachedOutcome::NoRealization));
+        c.insert(key(6), None);
+        assert_eq!(c.get(&key(6)), Some(None));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -232,7 +207,7 @@ mod tests {
     #[test]
     fn reset_counters_keeps_entries() {
         let c = DecompCache::new();
-        c.insert(key(6), CachedOutcome::NoRealization);
+        c.insert(key(6), None);
         assert!(c.get(&key(6)).is_some());
         assert!(c.get(&key(7)).is_none());
         c.reset_counters();
@@ -242,28 +217,19 @@ mod tests {
     }
 
     #[test]
-    fn distinct_limits_are_distinct_keys() {
-        let c = DecompCache::new();
-        let mut limited = key(6);
-        limited.bdd_limit = Some(8);
-        c.insert(key(6), CachedOutcome::NoRealization);
-        assert!(c.get(&limited).is_none(), "limit is part of the key");
-    }
-
-    #[test]
     fn capacity_bounds_inserts() {
         let c = DecompCache::with_capacity(2);
-        c.insert(key(1), CachedOutcome::NoRealization);
-        c.insert(key(2), CachedOutcome::NoRealization);
-        c.insert(key(3), CachedOutcome::NoRealization);
+        c.insert(key(1), None);
+        c.insert(key(2), None);
+        c.insert(key(3), None);
         assert_eq!(c.len(), 2, "third insert dropped at capacity");
         // Updating an existing key is still allowed at capacity.
-        c.insert(key(2), CachedOutcome::NodeLimit { nodes: 9, limit: 8 });
-        assert_eq!(
-            c.get(&key(2)),
-            Some(CachedOutcome::NoRealization),
-            "first value wins races"
-        );
+        let template = LutTemplate {
+            luts: Vec::new(),
+            root: 0,
+        };
+        c.insert(key(2), Some(template));
+        assert_eq!(c.get(&key(2)), Some(None), "first value wins races");
     }
 
     #[test]
@@ -274,7 +240,7 @@ mod tests {
                 let c = &c;
                 scope.spawn(move || {
                     for i in 0..64 {
-                        c.insert(key(i % 8), CachedOutcome::NoRealization);
+                        c.insert(key(i % 8), None);
                         let _ = c.get(&key((i + t) % 8));
                     }
                 });

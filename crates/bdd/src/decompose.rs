@@ -17,6 +17,10 @@
 //! Because BDDs are canonical, cofactor distinctness is plain handle
 //! equality, so `μ` is computed exactly by enumerating the `2^|B|` bound
 //! assignments (bound sets are at most LUT-sized, so this is cheap).
+//!
+//! The mapping path decomposes on truth tables (`turbosyn::seqdecomp`);
+//! this module is the reference its tests compare against, class
+//! numbering included.
 
 use crate::{Bdd, BddError, Manager};
 
@@ -109,10 +113,7 @@ fn cofactor_classes(m: &mut Manager, f: Bdd, bound: &[u32]) -> (Vec<usize>, usiz
 /// # Errors
 ///
 /// [`BddError::InvalidBoundSet`] / [`BddError::InvalidWireCount`] /
-/// [`BddError::FreshVarCollision`] on malformed arguments, and
-/// [`BddError::NodeLimit`] if the manager's node ceiling is crossed while
-/// building encoders or the image (the caller should fall back to an
-/// unresynthesized realization).
+/// [`BddError::FreshVarCollision`] on malformed arguments.
 pub fn decompose(
     m: &mut Manager,
     f: Bdd,
@@ -133,7 +134,6 @@ pub fn decompose(
         }
     }
 
-    m.check_budget()?;
     let (class_of, mu, reps) = cofactor_classes(m, f, bound);
     if mu > (1usize << wires) {
         return Ok(None);
@@ -151,7 +151,6 @@ pub fn decompose(
     let mut encoders = vec![m.zero(); needed];
     let mut assign: Vec<(u32, bool)> = bound.iter().map(|&v| (v, false)).collect();
     for (b, &class) in class_of.iter().enumerate() {
-        m.check_budget()?;
         for (j, slot) in assign.iter_mut().enumerate() {
             slot.1 = (b >> j) & 1 == 1;
         }
@@ -173,7 +172,6 @@ pub fn decompose(
     let encoder_vars: Vec<u32> = (0..needed as u32).map(|j| fresh_base + j).collect();
     let mut image = m.zero();
     for code in 0..(1usize << needed) {
-        m.check_budget()?;
         let rep = reps[if code < mu { code } else { 0 }];
         let mut minterm = m.one();
         for (j, &zv) in encoder_vars.iter().enumerate() {
@@ -375,21 +373,6 @@ mod tests {
         let f = m.and(x0, x1);
         let r = decompose(&mut m, f, &[0], 1, 1);
         assert!(matches!(r, Err(BddError::FreshVarCollision { var: 1 })));
-    }
-
-    #[test]
-    fn node_ceiling_aborts_decomposition() {
-        let mut m = Manager::new();
-        // An 8-variable majority-ish function with a 6-variable bound set
-        // needs room for minterms and image terms; a tiny ceiling trips.
-        let mut f = m.zero();
-        for v in 0..8 {
-            let x = m.var(v);
-            f = m.xor(f, x);
-        }
-        m.set_node_limit(Some(m.len()));
-        let r = decompose(&mut m, f, &[0, 1, 2, 3, 4, 5], 1, 20);
-        assert!(matches!(r, Err(BddError::NodeLimit { .. })));
     }
 
     /// Random 5-variable functions: whenever decomposition succeeds,

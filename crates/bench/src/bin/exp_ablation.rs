@@ -22,7 +22,7 @@ fn main() {
             "circuit".into(),
             "Cmax=8 Φ".into(),
             "Cmax=15 Φ".into(),
-            "Cmax=24 Φ".into()
+            "Cmax=16 Φ".into()
         ])
     );
     println!("{}", sep(4));
@@ -40,7 +40,7 @@ fn main() {
                 b.name.to_string(),
                 phi(8).to_string(),
                 phi(15).to_string(),
-                phi(24).to_string(),
+                phi(16).to_string(),
             ])
         );
     }

@@ -241,7 +241,6 @@ pub(crate) struct LineageKey {
     pub max_nodes: usize,
     pub cmax: usize,
     pub max_wires: usize,
-    pub max_bdd_nodes: Option<usize>,
 }
 
 /// A warm-start slot: converged labels of a *feasible* probe under one
@@ -631,7 +630,6 @@ mod tests {
             max_nodes: 64,
             cmax: 4,
             max_wires: 16,
-            max_bdd_nodes: None,
         }
     }
 

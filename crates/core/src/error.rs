@@ -1,7 +1,7 @@
 //! The top-level error surface of the synthesis engine.
 //!
 //! Every public mapper entry point returns [`SynthesisError`], folding
-//! the crate-local error families (BLIF parsing, BDD resource limits,
+//! the crate-local error families (BLIF parsing, truth-table limits,
 //! verification, budgets) into one enum so embedding services can route
 //! failures without downcasting: malformed input, resource exhaustion,
 //! cancellation, and internal bugs are distinct, machine-matchable
@@ -86,9 +86,6 @@ impl From<BddError> for SynthesisError {
     fn from(e: BddError) -> Self {
         match e {
             BddError::TooManyVars { nvars, max } => SynthesisError::TooManyVars { nvars, max },
-            BddError::NodeLimit { nodes, limit } => SynthesisError::BudgetExceeded {
-                what: format!("BDD ceiling: {nodes} nodes over the limit of {limit}"),
-            },
             other => SynthesisError::Internal(other.to_string()),
         }
     }
@@ -120,12 +117,8 @@ mod tests {
         assert!(matches!(e, SynthesisError::BudgetExceeded { .. }));
         let e: SynthesisError = BddError::TooManyVars { nvars: 30, max: 24 }.into();
         assert_eq!(e, SynthesisError::TooManyVars { nvars: 30, max: 24 });
-        let e: SynthesisError = BddError::NodeLimit {
-            nodes: 10,
-            limit: 5,
-        }
-        .into();
-        assert!(matches!(e, SynthesisError::BudgetExceeded { .. }));
+        let e: SynthesisError = BddError::InvalidWireCount(9).into();
+        assert!(matches!(e, SynthesisError::Internal(_)));
         let e: SynthesisError = VerifyError::InterfaceMismatch.into();
         assert!(matches!(e, SynthesisError::Verify(_)));
     }

@@ -18,8 +18,7 @@
 //! circuits.
 
 use std::collections::HashMap;
-use turbosyn_bdd::{Bdd, BddError, Manager};
-use turbosyn_netlist::tt::TruthTable;
+use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
 
 /// One node of an expanded circuit: original node `orig` seen through
@@ -233,37 +232,71 @@ impl Expansion {
         }
     }
 
-    /// Computes the cut function: the root's value as a function of the
-    /// cut nodes (BDD variable `i` = cut node `cut[i]`).
+    /// Computes the cut function as a flat truth table (input `i` = cut
+    /// node `cut[i]`), simulating the cone bit-parallel: one pass over the
+    /// cone's gates per table word, so memory stays one word per node.
     ///
     /// # Panics
     ///
-    /// Panics if `cut` does not actually separate the root from all leaves
-    /// (i.e. the interior walk reaches an unexpanded node), or if the
-    /// interior contains a non-gate.
-    pub fn cone_bdd(&self, c: &Circuit, cut: &[usize], m: &mut Manager) -> Bdd {
-        let mut var_of: HashMap<usize, u32> = HashMap::new();
-        for (i, &xi) in cut.iter().enumerate() {
-            var_of.insert(xi, i as u32);
+    /// Panics if the cut has more than 16 nodes (the [`TruthTable`]
+    /// limit; every caller passes a cut of at most `Cmax <= 16` or
+    /// `K <= 16` nodes), if `cut` does not actually separate the root
+    /// from all leaves (i.e. the interior walk reaches an unexpanded
+    /// node), or if the interior contains a non-gate.
+    pub fn cone_tt(&self, c: &Circuit, cut: &[usize]) -> TruthTable {
+        assert!(
+            cut.len() <= usize::from(MAX_VARS),
+            "cut of {} nodes exceeds the truth-table limit",
+            cut.len()
+        );
+        let nvars = cut.len() as u8;
+        // Slots: cut input `i` is slot `i`, interior gate `g` is slot
+        // `cut.len() + g`, gates placed fanins first.
+        let mut slot: HashMap<usize, usize> =
+            cut.iter().enumerate().map(|(i, &xi)| (xi, i)).collect();
+        let mut gates: Vec<ConeGate> = Vec::new();
+        let root = self.place_gates(c, 0, &mut slot, &mut gates);
+
+        let lits: Vec<TruthTable> = (0..nvars).map(|i| TruthTable::lit(nvars, i)).collect();
+        let words = TruthTable::constant(nvars, false).bits().len();
+        let mut value = vec![0u64; slot.len()];
+        let mut muxes: Vec<u64> = Vec::new();
+        let mut out = Vec::with_capacity(words);
+        for w in 0..words {
+            for (v, lit) in value.iter_mut().zip(&lits) {
+                *v = lit.bits()[w];
+            }
+            for (g, gate) in gates.iter().enumerate() {
+                // A multiplexer tree over the gate's table: folding fanin
+                // `j` halves the candidate words, selecting by its bits.
+                muxes.clear();
+                muxes.extend_from_slice(&gate.table);
+                let mut len = muxes.len();
+                for &f in &gate.fanins {
+                    let x = value[f];
+                    len /= 2;
+                    for i in 0..len {
+                        muxes[i] = (x & muxes[2 * i + 1]) | (!x & muxes[2 * i]);
+                    }
+                }
+                value[cut.len() + g] = muxes[0];
+            }
+            out.push(value[root]);
         }
-        let mut memo: HashMap<usize, Bdd> = HashMap::new();
-        self.cone_rec(c, 0, &var_of, &mut memo, m)
+        TruthTable::from_bits(nvars, &out)
     }
 
-    fn cone_rec(
+    /// Places the interior gates under `xi` in `gates`, fanins first, and
+    /// returns the slot of `xi`.
+    fn place_gates(
         &self,
         c: &Circuit,
         xi: usize,
-        var_of: &HashMap<usize, u32>,
-        memo: &mut HashMap<usize, Bdd>,
-        m: &mut Manager,
-    ) -> Bdd {
-        if let Some(&v) = var_of.get(&xi) {
-            // Root may itself be listed? Never: the root is the sink.
-            return m.var(v);
-        }
-        if let Some(&b) = memo.get(&xi) {
-            return b;
+        slot: &mut HashMap<usize, usize>,
+        gates: &mut Vec<ConeGate>,
+    ) -> usize {
+        if let Some(&s) = slot.get(&xi) {
+            return s;
         }
         assert!(
             self.expanded[xi],
@@ -274,51 +307,25 @@ impl Expansion {
         let NodeKind::Gate(tt) = &c.node(NodeId::from_index(orig)).kind else {
             panic!("interior node {:?} is not a gate", self.nodes[xi]);
         };
-        let fan: Vec<Bdd> = self.fanins[xi]
+        let fanins: Vec<usize> = self.fanins[xi]
             .iter()
-            .map(|&ci| self.cone_rec(c, ci, var_of, memo, m))
+            .map(|&ci| self.place_gates(c, ci, slot, gates))
             .collect();
-        // Sum-of-minterms composition of the gate function over fanin BDDs.
-        let mut out = m.zero();
-        for idx in 0..(1u32 << fan.len()) {
-            if tt.eval(idx) {
-                let mut term = m.one();
-                for (i, &fb) in fan.iter().enumerate() {
-                    let lit = if (idx >> i) & 1 == 1 { fb } else { m.not(fb) };
-                    term = m.and(term, lit);
-                    if term == m.zero() {
-                        break;
-                    }
-                }
-                out = m.or(out, term);
-            }
-        }
-        memo.insert(xi, out);
-        out
+        let table = (0..1u32 << fanins.len())
+            .map(|idx| if tt.eval(idx) { u64::MAX } else { 0 })
+            .collect();
+        gates.push(ConeGate { fanins, table });
+        let s = slot.len();
+        slot.insert(xi, s);
+        s
     }
+}
 
-    /// Cut function as a flat truth table (input `i` = `cut[i]`).
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::TooManyVars`] when the cut has more than 16 nodes
-    /// (the [`TruthTable`] representation caps out at 16 inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Expansion::cone_bdd`].
-    pub fn cone_tt(&self, c: &Circuit, cut: &[usize]) -> Result<TruthTable, BddError> {
-        if cut.len() > 16 {
-            return Err(BddError::TooManyVars {
-                nvars: cut.len() as u32,
-                max: 16,
-            });
-        }
-        let mut m = Manager::new();
-        let b = self.cone_bdd(c, cut, &mut m);
-        let bits = m.to_truth_table(b, cut.len() as u32)?;
-        Ok(TruthTable::from_bits(cut.len() as u8, &bits))
-    }
+/// One interior gate of a cone under simulation: the slots of its fanins
+/// and its table, one all-ones or all-zeros word per entry.
+struct ConeGate {
+    fanins: Vec<usize>,
+    table: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -361,7 +368,7 @@ mod tests {
         // The cheapest cut is the PI itself.
         assert_eq!(e.nodes[cut[0]].orig, 0);
         // Cone function: three inverters = inverter.
-        let tt = e.cone_tt(&c, &cut).expect("1-input cone fits");
+        let tt = e.cone_tt(&c, &cut);
         assert_eq!(tt, TruthTable::inv());
     }
 
@@ -419,7 +426,7 @@ mod tests {
         let e =
             Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
         let cut = e.min_cut(16).expect("cut exists");
-        let tt = e.cone_tt(&c, &cut).expect("cut fits in a truth table");
+        let tt = e.cone_tt(&c, &cut);
         assert!(tt.nvars() as usize == cut.len());
         assert!(!tt.support().is_empty());
     }

@@ -25,7 +25,6 @@ use crate::cache::{LineageKey, Scratch, SessionCaches};
 use crate::expand::{ExpandFail, ExpandLimits};
 use crate::pld::{PldProbe, PldVerdict};
 use std::sync::atomic::{AtomicBool, Ordering};
-use turbosyn_bdd::BddError;
 use turbosyn_graph::scc::condensation;
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
 
@@ -55,7 +54,8 @@ pub struct LabelOptions {
     pub stop: StopRule,
     /// Expansion truncation limits.
     pub expand: ExpandLimits,
-    /// Cut-size cap for resynthesis min-cuts (the paper uses 15).
+    /// Cut-size cap for resynthesis min-cuts (the paper uses 15; at most
+    /// 16, the truth-table limit).
     pub cmax: usize,
     /// Maximum encoding wires per extraction: 1 = the paper's
     /// single-output decomposition; 2 = the Roth–Karp multi-output
@@ -65,11 +65,6 @@ pub struct LabelOptions {
     /// technique): re-realize resynthesized roots as plain cuts at relaxed
     /// heights where consumer budgets allow.
     pub relax: bool,
-    /// Per-decomposition BDD-node ceiling; a resynthesis attempt that
-    /// exceeds it falls back to the plain label update. Part of the
-    /// options (not the run-scoped gauge) so mapping generation replays
-    /// the exact decisions the label search made.
-    pub max_bdd_nodes: Option<usize>,
     /// Worker threads for the per-sweep label updates. `1` (the default)
     /// runs serially; any value produces bit-identical labels — within a
     /// sweep every candidate is computed from the *frozen* previous-sweep
@@ -102,7 +97,6 @@ impl LabelOptions {
             cmax: 15,
             max_wires: 1,
             relax: true,
-            max_bdd_nodes: None,
             jobs: 1,
             full_sweeps: false,
             warm_start: true,
@@ -284,11 +278,6 @@ pub(crate) fn label_candidate(
 /// `L(v) − h` for growing `h`, capped at `Cmax` inputs, each tried for
 /// decomposition to root label `L(v)`. Returns the realization so that
 /// mapping generation can replay the exact same decision.
-///
-/// A decomposition that trips the [`LabelOptions::max_bdd_nodes`]
-/// ceiling makes the whole descent give up (`Ok(None)`, with a
-/// [`DegradeEvent::BddCeiling`] noted): deeper descents only grow the
-/// cut function, so retrying below a blown ceiling is pointless.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resyn_realization(
     c: &Circuit,
@@ -342,7 +331,7 @@ pub(crate) fn resyn_realization(
         last_cut = Some(key);
         let resyn = {
             let _t = gauge.trace().hot("seqdecomp");
-            crate::seqdecomp::resynthesize_cached(
+            crate::seqdecomp::resynthesize(
                 exp,
                 c,
                 &cut,
@@ -351,23 +340,13 @@ pub(crate) fn resyn_realization(
                 big_l,
                 opts.k,
                 opts.max_wires,
-                opts.max_bdd_nodes,
                 &caches.decomp,
             )
         };
         match resyn {
             Ok(Some(r)) => return Ok(Some(r)),
             Ok(None) => {}
-            Err(BddError::NodeLimit { .. }) => {
-                // Graceful degradation: this node keeps the plain TurboMap
-                // update; the mapping stays valid at a possibly higher φ.
-                gauge.note(DegradeEvent::BddCeiling { node: v });
-                return Ok(None);
-            }
-            // Argument-class errors are unreachable here (bound sets come
-            // from the live support, wires are validated); treat any
-            // residual case as "no realization" rather than aborting.
-            Err(_) => return Ok(None),
+            Err(crate::seqdecomp::WindowTooWide) => return Ok(None),
         }
     }
     Ok(None)
@@ -522,7 +501,6 @@ fn lineage_key(opts: &LabelOptions) -> LineageKey {
         max_nodes: opts.expand.max_nodes,
         cmax: opts.cmax,
         max_wires: opts.max_wires,
-        max_bdd_nodes: opts.max_bdd_nodes,
     }
 }
 

@@ -39,7 +39,8 @@ pub struct MapOptions {
     pub stop: StopRule,
     /// Expanded-circuit truncation limits.
     pub expand: ExpandLimits,
-    /// Min-cut size cap for resynthesis (the paper uses 15).
+    /// Min-cut size cap for resynthesis (the paper uses 15; at most 16,
+    /// the truth-table limit).
     pub cmax: usize,
     /// Encoding wires per resynthesis extraction (1 = the paper's
     /// single-output decomposition; 2 = the multi-output extension).
@@ -70,7 +71,7 @@ pub struct MapOptions {
     /// Reports are bit-identical either way.
     pub warm_start: bool,
     /// Resource budget for the whole run: wall clock, expansion work,
-    /// per-decomposition BDD nodes, labeling sweeps, and a cancel token.
+    /// labeling sweeps, and a cancel token.
     /// Defaults to unlimited. On exhaustion the mappers degrade to the
     /// best already-verified mapping (reported via
     /// [`MapReport::degradation`]) or fail with a typed
@@ -123,7 +124,6 @@ impl MapOptions {
             cmax: self.cmax,
             max_wires: self.max_wires,
             relax: self.relax,
-            max_bdd_nodes: self.budget.max_bdd_nodes,
             jobs: self.jobs,
             full_sweeps: self.full_sweeps,
             warm_start: self.warm_start,
@@ -137,6 +137,12 @@ impl MapOptions {
             return Err(SynthesisError::InvalidInput(format!(
                 "K = {} out of the supported range 2..=16",
                 self.k
+            )));
+        }
+        if self.cmax > usize::from(turbosyn_netlist::tt::MAX_VARS) {
+            return Err(SynthesisError::InvalidInput(format!(
+                "cmax = {} exceeds the truth-table limit of 16 inputs",
+                self.cmax
             )));
         }
         if !(1..=2).contains(&self.max_wires) {
@@ -211,7 +217,6 @@ fn drive(
     caches: &SessionCaches,
 ) -> Result<MapReport, SynthesisError> {
     let start = Instant::now();
-    let _drive_span = gauge.trace().span("drive");
     opts.validate()?;
     let c = prepare(input, opts.k)?;
     gauge.check()?; // a pre-cancelled token / zero deadline fails fast
@@ -392,6 +397,7 @@ pub(crate) fn turbomap_with(
     opts: &MapOptions,
     caches: &SessionCaches,
 ) -> Result<MapReport, SynthesisError> {
+    let _root_span = opts.trace.span("drive");
     let gauge = Gauge::new(opts.budget.clone()).with_trace(opts.trace.clone());
     drive("TurboMap", c, opts, false, None, &gauge, caches)
 }
@@ -414,6 +420,8 @@ pub(crate) fn turbosyn_with(
     opts: &MapOptions,
     caches: &SessionCaches,
 ) -> Result<MapReport, SynthesisError> {
+    // The root span covers the TurboMap prepass as well as the search.
+    let _root_span = opts.trace.span("drive");
     opts.validate()?;
     // Upper bound from TurboMap's label search (labels only — cheap).
     let prep = prepare(c, opts.k)?;
@@ -461,6 +469,7 @@ pub(crate) fn map_combinational_with(
     resynthesis: bool,
     caches: &SessionCaches,
 ) -> Result<(Circuit, i64), SynthesisError> {
+    let _root_span = opts.trace.span("drive");
     opts.validate()?;
     if !c
         .node_ids()
@@ -514,6 +523,7 @@ pub(crate) fn flowsyn_s_with(
     opts: &MapOptions,
     caches: &SessionCaches,
 ) -> Result<MapReport, SynthesisError> {
+    let _root_span = opts.trace.span("drive");
     let start = Instant::now();
     opts.validate()?;
     let prep = prepare(c, opts.k)?;
@@ -874,6 +884,39 @@ mod tests {
             "FlowSYN {d_flowsyn} vs FlowMap {d_flowmap}"
         );
         assert_eq!(d_flowmap, 2, "9-input cone needs two levels with K=5");
+    }
+
+    /// Unsupported option values are `InvalidInput`, never a panic deeper
+    /// in the engine; the last valid value of each range still passes.
+    #[test]
+    fn validate_rejects_out_of_range_options() {
+        let bad = [
+            MapOptions::with_k(1),
+            MapOptions::with_k(17),
+            MapOptions {
+                max_wires: 3,
+                ..MapOptions::default()
+            },
+            MapOptions {
+                jobs: 0,
+                ..MapOptions::default()
+            },
+            MapOptions {
+                cmax: 17,
+                ..MapOptions::default()
+            },
+        ];
+        for opts in &bad {
+            assert!(
+                matches!(opts.validate(), Err(SynthesisError::InvalidInput(_))),
+                "{opts:?}"
+            );
+        }
+        let edge = MapOptions {
+            cmax: 16,
+            ..MapOptions::with_k(16)
+        };
+        edge.validate().expect("cmax 16 and K 16 are supported");
     }
 
     #[test]

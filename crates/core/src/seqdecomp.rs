@@ -4,9 +4,9 @@
 //! circuit, TurboSYN takes a (possibly wide) min-cut of height `<= H − h`
 //! for growing `h`, forms the **sequential cut function**
 //! `f(u_1^{w_1}, …, u_m^{w_m})` (Figure 2 of the paper), and resynthesizes
-//! it with OBDD-based functional decomposition so that the root LUT sees
-//! at most K inputs while every original input still meets its timing
-//! budget:
+//! it by functional decomposition (OBDD-based in the paper, on truth
+//! tables here) so that the root LUT sees at most K inputs while every
+//! original input still meets its timing budget:
 //!
 //! * input `u^w` enters the tree at depth `j` LUT levels ⇒ it contributes
 //!   `l(u) − φ·w + j` to the root label, which must stay `<= H`;
@@ -15,15 +15,26 @@
 //!   sub-LUTs.
 //!
 //! Each extraction is an Ashenhurst step (column multiplicity `<= 2`, one
-//! encoding wire), exactly verified by BDD recomposition. The result is a
-//! [`Realization`]: the LUT tree that mapping generation will instantiate.
+//! encoding wire) computed on the cut function's truth table: with the
+//! bound set moved to the top inputs, each cofactor is one contiguous
+//! block of the table, so cofactor classes are found by comparing
+//! blocks. Cut functions have at most `Cmax <= 16` inputs, so a table is
+//! at most 1024 words. The result is a [`Realization`]: the LUT tree that
+//! mapping generation will instantiate.
 
 use crate::expand::{ExpNode, Expansion};
-use turbosyn_bdd::cache::{CachedOutcome, LutTemplate, SignatureKey, TemplateInput, TemplateLut};
-use turbosyn_bdd::decompose::{decompose, recompose};
-use turbosyn_bdd::{Bdd, BddError, DecompCache, Manager};
+use turbosyn_bdd::cache::{LutTemplate, SignatureKey, TemplateInput, TemplateLut};
+use turbosyn_bdd::DecompCache;
 use turbosyn_netlist::tt::TruthTable;
 use turbosyn_netlist::Circuit;
+
+/// Largest bound set one extraction enumerates (`2^12` cofactors).
+const MAX_BOUND: usize = 12;
+
+/// The extraction search reached a bound-set window wider than
+/// [`MAX_BOUND`]: the label descent gives up on the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WindowTooWide;
 
 /// Where a LUT input comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +78,7 @@ impl Realization {
     /// K-feasible cuts (`K <= 16`), so this is a caller bug, not an input
     /// condition.
     pub fn from_cut(exp: &Expansion, c: &Circuit, cut: &[usize]) -> Realization {
-        // SAFETY of the expect: every call site obtains `cut` from
-        // `min_cut(k)` with `k <= 16`, the truth-table limit.
-        let tt = exp
-            .cone_tt(c, cut)
-            .expect("K-feasible cut fits in a truth table");
+        let tt = exp.cone_tt(c, cut);
         let inputs = cut
             .iter()
             .map(|&xi| {
@@ -96,46 +103,23 @@ impl Realization {
 ///
 /// `labels`/`phi` give each cut input its criticality
 /// `λ_i = l(u_i) − φ·w_i`; the root LUT needs every (possibly extracted)
-/// input signal to carry label `<= height − 1`.
+/// input signal to carry label `<= height − 1`. `k` bounds every LUT's
+/// input count, and `max_wires` the encoding functions per extraction.
+/// The paper uses single-output decomposition (`max_wires = 1`) and cites
+/// multi-output decomposition \[26\] as future work; `max_wires = 2`
+/// implements that extension: bound sets with column multiplicity up to 4
+/// become two encoder LUTs feeding the root.
 ///
-/// `k` bounds every LUT's input count. Deterministic and exact: every
-/// extraction is verified by recomposition, and the final tree recomposes
-/// to the original cut function.
-///
-/// # Errors
-///
-/// [`BddError::NodeLimit`] when `bdd_limit` is `Some` and the
-/// decomposition exceeded it — the caller should fall back to the plain
-/// label update (the mappers record a
-/// [`DegradeEvent::BddCeiling`](crate::DegradeEvent::BddCeiling)).
-pub fn resynthesize(
-    exp: &Expansion,
-    c: &Circuit,
-    cut: &[usize],
-    phi: i64,
-    labels: &[i64],
-    height: i64,
-    k: usize,
-) -> Result<Option<Realization>, BddError> {
-    resynthesize_wires(exp, c, cut, phi, labels, height, k, 1, None)
-}
-
-/// Like [`resynthesize`], but allowing up to `max_wires` encoding
-/// functions per extraction (Roth–Karp) and an optional BDD-node ceiling
-/// `bdd_limit` for the (fresh, per-call) manager. The paper uses
-/// single-output decomposition (`max_wires = 1`) and cites multi-output
-/// decomposition \[26\] as future work; `max_wires = 2` implements that
-/// extension: bound sets with column multiplicity up to 4 become two
-/// encoder LUTs feeding the root, trading LUT count for coverable cases.
+/// Memoized in `cache`, keyed by the canonical cut-function signature
+/// (truth table in cut order + criticality deltas + `k`/`max_wires`).
+/// The outcome is a pure function of the key, so hit replays are exact.
 ///
 /// # Errors
 ///
-/// [`BddError::NodeLimit`] when the decomposition blew through
-/// `bdd_limit`. Because the manager is created fresh here, the outcome is
-/// deterministic in the inputs and the limit — mapping generation replays
-/// the exact same verdicts the label search saw.
+/// [`WindowTooWide`] (not cached) when the extraction search reaches a
+/// bound-set window wider than [`MAX_BOUND`].
 #[allow(clippy::too_many_arguments)]
-pub fn resynthesize_wires(
+pub(crate) fn resynthesize(
     exp: &Expansion,
     c: &Circuit,
     cut: &[usize],
@@ -144,114 +128,33 @@ pub fn resynthesize_wires(
     height: i64,
     k: usize,
     max_wires: usize,
-    bdd_limit: Option<usize>,
-) -> Result<Option<Realization>, BddError> {
-    // Locally proven: both the CLI and the mappers validate max_wires
-    // before any labeling starts.
-    assert!(
-        (1..=2).contains(&max_wires),
-        "1 or 2 encoding wires supported"
-    );
-    let m_inputs = cut.len();
-    if m_inputs == 0 {
+    cache: &DecompCache,
+) -> Result<Option<Realization>, WindowTooWide> {
+    if cut.is_empty() {
         return Ok(None);
     }
-    let mut mgr = Manager::new();
-    mgr.set_node_limit(bdd_limit);
-    let f = exp.cone_bdd(c, cut, &mut mgr);
-    // The cone construction itself is not budget-polled (manager ops are
-    // infallible); a blown ceiling is caught by the first poll below.
-    mgr.check_budget()?;
-    let deltas = cut_deltas(exp, cut, phi, labels, height);
-    let template = decompose_template(&mut mgr, f, m_inputs, &deltas, k, max_wires)?;
-    Ok(template.map(|t| instantiate(&t, &cut_srcs(exp, cut))))
-}
-
-/// Like [`resynthesize_wires`], but memoized in a [`DecompCache`] keyed
-/// by the canonical cut-function signature (truth table in cut order +
-/// criticality deltas + `k`/`max_wires`/`bdd_limit`).
-///
-/// On a miss the decomposition runs on a **fresh manager seeded from the
-/// truth table**, so the cached outcome is a pure function of the key
-/// and hit replays are exact — including [`BddError::NodeLimit`] trips,
-/// which are cached with their original counts. A ceiling trip during
-/// cone construction itself is *not* cached (it happens before the key
-/// exists and is cheap to re-derive). Cuts wider than 16 inputs exceed
-/// the flat-truth-table signature and fall back to the uncached path.
-///
-/// # Errors
-///
-/// Same contract as [`resynthesize_wires`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resynthesize_cached(
-    exp: &Expansion,
-    c: &Circuit,
-    cut: &[usize],
-    phi: i64,
-    labels: &[i64],
-    height: i64,
-    k: usize,
-    max_wires: usize,
-    bdd_limit: Option<usize>,
-    cache: &DecompCache,
-) -> Result<Option<Realization>, BddError> {
-    if cut.is_empty() || cut.len() > 16 {
-        return resynthesize_wires(exp, c, cut, phi, labels, height, k, max_wires, bdd_limit);
-    }
+    // Locally proven: the mappers validate max_wires before any labeling
+    // starts.
     assert!(
         (1..=2).contains(&max_wires),
         "1 or 2 encoding wires supported"
     );
-    let mut cone_mgr = Manager::new();
-    cone_mgr.set_node_limit(bdd_limit);
-    let f = exp.cone_bdd(c, cut, &mut cone_mgr);
-    cone_mgr.check_budget()?;
-    let bits = cone_mgr.to_truth_table(f, cut.len() as u32)?;
-    drop(cone_mgr);
-    let deltas = cut_deltas(exp, cut, phi, labels, height);
+    let f = exp.cone_tt(c, cut);
     let key = SignatureKey {
-        nvars: cut.len() as u8,
-        tt: bits.clone(),
-        deltas,
+        nvars: f.nvars(),
+        tt: f.bits().to_vec(),
+        deltas: cut_deltas(exp, cut, phi, labels, height),
         k: k as u8,
         max_wires: max_wires as u8,
-        bdd_limit,
     };
     let srcs = cut_srcs(exp, cut);
     if let Some(outcome) = cache.get(&key) {
-        return match outcome {
-            CachedOutcome::Realized(t) => Ok(Some(instantiate(&t, &srcs))),
-            CachedOutcome::NoRealization => Ok(None),
-            CachedOutcome::NodeLimit { nodes, limit } => Err(BddError::NodeLimit { nodes, limit }),
-        };
+        return Ok(outcome.map(|t| instantiate(&t, &srcs)));
     }
-    let mut mgr = Manager::new();
-    mgr.set_node_limit(bdd_limit);
-    let g = match mgr.from_truth_table(cut.len() as u32, &bits) {
-        Ok(g) => g,
-        Err(e) => {
-            if let BddError::NodeLimit { nodes, limit } = e {
-                cache.insert(key, CachedOutcome::NodeLimit { nodes, limit });
-            }
-            return Err(e);
-        }
-    };
-    match decompose_template(&mut mgr, g, cut.len(), &key.deltas, k, max_wires) {
-        Ok(Some(t)) => {
-            let r = instantiate(&t, &srcs);
-            cache.insert(key, CachedOutcome::Realized(t));
-            Ok(Some(r))
-        }
-        Ok(None) => {
-            cache.insert(key, CachedOutcome::NoRealization);
-            Ok(None)
-        }
-        Err(BddError::NodeLimit { nodes, limit }) => {
-            cache.insert(key, CachedOutcome::NodeLimit { nodes, limit });
-            Err(BddError::NodeLimit { nodes, limit })
-        }
-        Err(e) => Err(e),
-    }
+    let template = decompose_template(&f, &key.deltas, k, max_wires)?;
+    let realization = template.as_ref().map(|t| instantiate(t, &srcs));
+    cache.insert(key, template);
+    Ok(realization)
 }
 
 /// Per-cut-input criticality deltas `λ_i − height` (`λ_i = l(u_i) − φ·w_i`),
@@ -300,55 +203,55 @@ fn instantiate(template: &LutTemplate, srcs: &[LutInput]) -> Realization {
     }
 }
 
-/// The decomposition pipeline proper, in circuit-free form: `f` lives in
-/// `mgr` over variables `0..nvars` (variable `i` = cut input `i`), and
-/// `deltas[i]` is input `i`'s criticality relative to the target height
-/// (burial requires `delta <= −2`, feeding the root requires
-/// `delta <= −1`). Deterministic in `(f, deltas, k, max_wires)` alone:
-/// the stable criticality sort is keyed on deltas over the initial cut
-/// order, and every [`decompose`] verdict is canonical in the function.
+/// One input of the root function during the decomposition: its
+/// criticality delta and where its signal comes from.
+#[derive(Debug, Clone, Copy)]
+struct Sig {
+    delta: i64,
+    src: TemplateInput,
+}
+
+/// The decomposition pipeline proper, in circuit-free form: input `i` of
+/// `f` is cut input `i`, and `deltas[i]` is its criticality relative to
+/// the target height (burial requires `delta <= −2`, feeding the root
+/// requires `delta <= −1`). Deterministic in `(f, deltas, k, max_wires)`
+/// alone: the stable criticality sort is keyed on deltas over the initial
+/// cut order, and every extraction is canonical in the function.
 fn decompose_template(
-    mgr: &mut Manager,
-    f: Bdd,
-    nvars: usize,
+    f: &TruthTable,
     deltas: &[i64],
     k: usize,
     max_wires: usize,
-) -> Result<Option<LutTemplate>, BddError> {
-    // Current root inputs: (BDD variable, criticality delta, source).
-    struct Sig {
-        var: u32,
-        delta: i64,
-        src: TemplateInput,
-    }
-    let mut sigs: Vec<Sig> = (0..nvars)
-        .map(|i| Sig {
-            var: i as u32,
-            delta: deltas[i],
+) -> Result<Option<LutTemplate>, WindowTooWide> {
+    // Current root inputs; input `i` of `current` is `sigs[i]`.
+    let mut sigs: Vec<Sig> = deltas
+        .iter()
+        .enumerate()
+        .map(|(i, &delta)| Sig {
+            delta,
             src: TemplateInput::Cut(i),
         })
         .collect();
+    let mut current = f.clone();
 
     // Drop inputs outside the support immediately.
-    let support = mgr.support(f);
-    sigs.retain(|s| support.contains(&s.var));
+    drop_unused(&mut current, &mut sigs);
     if sigs.iter().any(|s| s.delta > -1) {
         return Ok(None); // a critical input cannot even feed the root directly
     }
 
-    let mut next_var = nvars as u32;
     let mut luts: Vec<TemplateLut> = Vec::new();
-    let mut current = f;
-
     loop {
-        let live = mgr.support(current);
-        sigs.retain(|s| live.contains(&s.var));
+        drop_unused(&mut current, &mut sigs);
         if sigs.len() <= k {
             break; // root LUT fits
         }
         // Candidates for burial: λ <= height − 2 (they will sit 2 levels
         // deep). Sorted by increasing λ — the paper's ordering.
-        sigs.sort_by_key(|s| s.delta);
+        let mut order: Vec<usize> = (0..sigs.len()).collect();
+        order.sort_by_key(|&i| sigs[i].delta);
+        reorder(&mut current, &order);
+        sigs = order.iter().map(|&i| sigs[i]).collect();
         let buriable = sigs.iter().filter(|s| s.delta <= -2).count();
         if buriable < 2 {
             return Ok(None);
@@ -362,43 +265,39 @@ fn decompose_template(
         let mut extracted = false;
         'outer: for wires in 1..=max_wires {
             for size in ((wires + 1)..=k.min(buriable)).rev() {
+                if size > MAX_BOUND {
+                    return Err(WindowTooWide);
+                }
                 for start in 0..=(buriable - size) {
-                    let bound: Vec<u32> = sigs[start..start + size].iter().map(|s| s.var).collect();
-                    let dec = match decompose(mgr, current, &bound, wires, next_var) {
-                        Ok(Some(dec)) => dec,
-                        Ok(None) => continue, // multiplicity too high for `wires`
-                        Err(e) => return Err(e), // budget (or argument) failure
+                    let Some(Extraction { encoders, image }) =
+                        extract(&current, start, size, wires)
+                    else {
+                        continue; // multiplicity too high for `wires`
                     };
-                    debug_assert_eq!(recompose(mgr, &dec), current);
                     // New signals sit one LUT level above their worst member.
-                    let delta = sigs[start..start + size]
+                    let window = start..start + size;
+                    let delta = sigs[window.clone()]
                         .iter()
                         .map(|s| s.delta)
                         .max()
                         .expect("non-empty bound set")
                         + 1;
                     let enc_inputs: Vec<TemplateInput> =
-                        sigs[start..start + size].iter().map(|s| s.src).collect();
-                    let mut new_sigs = Vec::new();
-                    for (&enc, &var) in dec.encoders.iter().zip(&dec.encoder_vars) {
-                        let enc_tt = bdd_to_tt(mgr, enc, &bound);
-                        let lut_idx = luts.len();
+                        sigs.drain(window).map(|s| s.src).collect();
+                    // The image keeps the free inputs in order and takes
+                    // the encoder outputs as its top inputs.
+                    for enc in encoders {
+                        sigs.push(Sig {
+                            delta,
+                            src: TemplateInput::Lut(luts.len()),
+                        });
                         luts.push(TemplateLut {
-                            nvars: enc_tt.nvars(),
-                            bits: enc_tt.bits().to_vec(),
+                            nvars: enc.nvars(),
+                            bits: enc.bits().to_vec(),
                             inputs: enc_inputs.clone(),
                         });
-                        new_sigs.push(Sig {
-                            var,
-                            delta,
-                            src: TemplateInput::Lut(lut_idx),
-                        });
-                        next_var = next_var.max(var + 1);
                     }
-                    // Replace the buried inputs by the encoder outputs.
-                    sigs.drain(start..start + size);
-                    sigs.extend(new_sigs);
-                    current = dec.image;
+                    current = image;
                     extracted = true;
                     break 'outer;
                 }
@@ -413,30 +312,140 @@ fn decompose_template(
     if sigs.iter().any(|s| s.delta > -1) {
         return Ok(None);
     }
-    let root_vars: Vec<u32> = sigs.iter().map(|s| s.var).collect();
-    let root_tt = bdd_to_tt(mgr, current, &root_vars);
-    let root_inputs: Vec<TemplateInput> = sigs.iter().map(|s| s.src).collect();
     let root = luts.len();
     luts.push(TemplateLut {
-        nvars: root_tt.nvars(),
-        bits: root_tt.bits().to_vec(),
-        inputs: root_inputs,
+        nvars: current.nvars(),
+        bits: current.bits().to_vec(),
+        inputs: sigs.iter().map(|s| s.src).collect(),
     });
     debug_assert!(luts.iter().all(|l| l.inputs.len() <= k));
     Ok(Some(LutTemplate { luts, root }))
 }
 
-/// Dumps a BDD whose support is within `vars` as a truth table whose
-/// input `i` is `vars[i]`.
-fn bdd_to_tt(mgr: &Manager, f: Bdd, vars: &[u32]) -> TruthTable {
-    assert!(vars.len() <= 16, "LUT function over more than 16 inputs");
-    TruthTable::from_fn(vars.len() as u8, |i| {
-        let max_var = vars.iter().copied().max().unwrap_or(0) as usize;
-        let mut assign = vec![false; max_var + 1];
-        for (j, &v) in vars.iter().enumerate() {
-            assign[v as usize] = (i >> j) & 1 == 1;
+/// Reorders the inputs of `f` so that new input `j` is old input
+/// `order[j]` (`order` is a permutation of the inputs).
+fn reorder(f: &mut TruthTable, order: &[usize]) {
+    // at[p] = the old input now at position p.
+    let mut at: Vec<usize> = (0..order.len()).collect();
+    for (p, &want) in order.iter().enumerate() {
+        let q = p + at[p..]
+            .iter()
+            .position(|&o| o == want)
+            .expect("order is a permutation");
+        if q != p {
+            f.swap_inputs(p as u8, q as u8);
+            at.swap(p, q);
         }
-        mgr.eval(f, &assign)
+    }
+}
+
+/// Drops the inputs `f` does not depend on, from `f` and `sigs` alike.
+fn drop_unused(f: &mut TruthTable, sigs: &mut Vec<Sig>) {
+    let used: Vec<bool> = (0..sigs.len()).map(|v| f.depends_on(v as u8)).collect();
+    let live = used.iter().filter(|&&u| u).count();
+    if live == sigs.len() {
+        return;
+    }
+    let (mut order, unused): (Vec<usize>, Vec<usize>) = (0..sigs.len()).partition(|&v| used[v]);
+    order.extend(unused);
+    reorder(f, &order);
+    // The unused inputs now sit on top; the table at their 0 assignment
+    // is the function of the others.
+    *f = TruthTable::from_bits(live as u8, f.bits());
+    *sigs = order[..live].iter().map(|&i| sigs[i]).collect();
+}
+
+/// A disjoint decomposition `f(B, F) = image(encoders(B), F)`.
+struct Extraction {
+    /// Encoding functions over the bound set, in its order: encoder `j`
+    /// is bit `j` of the class code.
+    encoders: Vec<TruthTable>,
+    /// The composition function over the free inputs, in order, followed
+    /// by the encoder outputs.
+    image: TruthTable,
+}
+
+/// `f` with its inputs `start..start + size` moved, in order, to the top:
+/// cofactor `f|_{B=b}` is then block `b` of the table.
+fn bound_on_top(f: &TruthTable, start: usize, size: usize) -> TruthTable {
+    let n = usize::from(f.nvars());
+    let order: Vec<usize> = (0..start)
+        .chain(start + size..n)
+        .chain(start..start + size)
+        .collect();
+    let mut g = f.clone();
+    reorder(&mut g, &order);
+    g
+}
+
+/// One cofactor of a table with `free` low inputs: block `b`, as a word
+/// slice or, below one word, as the block's bits.
+#[derive(PartialEq, Eq)]
+enum Column<'a> {
+    Words(&'a [u64]),
+    Bits(u64),
+}
+
+fn column(g: &TruthTable, free: usize, b: usize) -> Column<'_> {
+    if free >= 6 {
+        let words = 1usize << (free - 6);
+        Column::Words(&g.bits()[b * words..(b + 1) * words])
+    } else {
+        let (width, pos) = (1usize << free, b << free);
+        Column::Bits((g.bits()[pos / 64] >> (pos % 64)) & (u64::MAX >> (64 - width)))
+    }
+}
+
+/// Cofactor classes of `g` over its top `size` inputs: for every
+/// assignment `b` of them (bit `j` of `b` = top input `j`), the class of
+/// the cofactor `g|_{B=b}`, classes numbered in first-seen order; and the
+/// first assignment of each class. `None` once more than `limit` classes
+/// appear.
+fn cofactor_classes(g: &TruthTable, size: usize, limit: usize) -> Option<(Vec<usize>, Vec<usize>)> {
+    let free = usize::from(g.nvars()) - size;
+    let mut class_of = Vec::with_capacity(1 << size);
+    let mut reps: Vec<usize> = Vec::new();
+    for b in 0..1usize << size {
+        let col = column(g, free, b);
+        let class = match reps.iter().position(|&r| column(g, free, r) == col) {
+            Some(class) => class,
+            None if reps.len() == limit => return None,
+            None => {
+                reps.push(b);
+                reps.len() - 1
+            }
+        };
+        class_of.push(class);
+    }
+    Some((class_of, reps))
+}
+
+/// Attempts the disjoint decomposition of `f` with the bound set
+/// `B` = inputs `start..start + size` and at most `wires` encoding
+/// functions. `None` if the column multiplicity exceeds `2^wires`.
+///
+/// Class `c` is encoded as the binary code `c`; unused codes map to
+/// class 0 in the image (a free choice — don't cares).
+fn extract(f: &TruthTable, start: usize, size: usize, wires: usize) -> Option<Extraction> {
+    let g = bound_on_top(f, start, size);
+    let (class_of, reps) = cofactor_classes(&g, size, 1 << wires)?;
+    let free = usize::from(f.nvars()) - size;
+    // At least one wire keeps the shape; ceil(log2 μ) otherwise.
+    let needed = ((usize::BITS - (reps.len() - 1).leading_zeros()) as usize).max(1);
+    let encoders = (0..needed)
+        .map(|j| TruthTable::from_fn(size as u8, |b| (class_of[b as usize] >> j) & 1 == 1))
+        .collect();
+    let mut bits = vec![0u64; (1usize << (free + needed)).div_ceil(64)];
+    for code in 0..1usize << needed {
+        let rep = reps[if code < reps.len() { code } else { 0 }];
+        match column(&g, free, rep) {
+            Column::Words(ws) => bits[code * ws.len()..(code + 1) * ws.len()].copy_from_slice(ws),
+            Column::Bits(v) => bits[(code << free) / 64] |= v << ((code << free) % 64),
+        }
+    }
+    Some(Extraction {
+        encoders,
+        image: TruthTable::from_bits((free + needed) as u8, &bits),
     })
 }
 
@@ -474,6 +483,9 @@ pub fn eval_realization(r: &Realization, value_of: &dyn Fn(usize, i64) -> bool) 
 mod tests {
     use super::*;
     use crate::expand::ExpandLimits;
+    use turbosyn_bdd::decompose::{column_multiplicity, decompose};
+    use turbosyn_bdd::Manager;
+    use turbosyn_graph::rng::StdRng;
     use turbosyn_netlist::circuit::Fanin;
     use turbosyn_netlist::gen;
     use turbosyn_netlist::NodeKind;
@@ -499,15 +511,15 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("wide cut exists");
         assert!(cut.len() > 5, "cut should exceed K=5, got {}", cut.len());
-        let real = resynthesize(&exp, &c, &cut, 1, &labels, 2, 5)
-            .expect("no budget installed")
+        let real = resynthesize(&exp, &c, &cut, 1, &labels, 2, 5, 1, &DecompCache::new())
+            .expect("windows fit")
             .expect("decomposes");
         assert!(real.lut_count() >= 2);
         for lut in &real.luts {
             assert!(lut.inputs.len() <= 5);
         }
         // The realization computes the cone function.
-        let tt = exp.cone_tt(&c, &cut).expect("cut fits in a truth table");
+        let tt = exp.cone_tt(&c, &cut);
         for i in 0..(1u32 << cut.len()) {
             let value_of = |orig: usize, weight: i64| -> bool {
                 let pos = cut
@@ -531,9 +543,11 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 1, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("cut exists");
         assert!(cut.len() > 5, "cut should exceed K=5");
-        assert!(resynthesize(&exp, &c, &cut, 1, &labels, 1, 5)
-            .expect("no budget installed")
-            .is_none());
+        assert!(
+            resynthesize(&exp, &c, &cut, 1, &labels, 1, 5, 1, &DecompCache::new())
+                .expect("windows fit")
+                .is_none()
+        );
     }
 
     /// A wide AND is always decomposable: chain of ANDs.
@@ -566,34 +580,123 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("cut exists");
         assert_eq!(cut.len(), 8, "cut is the 8 PIs");
-        let real = resynthesize(&exp, &c, &cut, 1, &labels, 2, 4)
-            .expect("no budget installed")
+        let real = resynthesize(&exp, &c, &cut, 1, &labels, 2, 4, 1, &DecompCache::new())
+            .expect("windows fit")
             .expect("AND decomposes");
         assert!(real.luts.iter().all(|l| l.inputs.len() <= 4));
         assert!(real.lut_count() >= 3);
     }
 
-    /// A starved BDD ceiling surfaces as `Err(NodeLimit)` — the mappers
-    /// turn this into the plain-label-update fallback.
+    /// The BDD reference rejects bound sets wider than 12 inputs, which
+    /// ends the descent; the truth-table search gives up at the same
+    /// point instead of trying narrower windows.
     #[test]
-    fn tiny_bdd_ceiling_reports_node_limit() {
-        let c = gen::figure1();
-        let labels: Vec<i64> = unit_labels(&c).iter().map(|&l| l * 2).collect();
-        let root = c.find("g1").expect("exists").index();
-        let exp =
-            Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
-        let cut = exp.min_cut(15).expect("wide cut exists");
-        let r = resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, 1, Some(1));
-        assert!(
-            matches!(r, Err(BddError::NodeLimit { .. })),
-            "expected a node-limit trip, got {r:?}"
+    fn windows_wider_than_twelve_give_up() {
+        let and14 = TruthTable::from_fn(14, |i| i == (1 << 14) - 1);
+        let deltas = [-2; 14];
+        assert_eq!(
+            decompose_template(&and14, &deltas, 13, 1),
+            Err(WindowTooWide),
+            "K = 13 opens with a 13-input window"
         );
-        // The same call without a ceiling still succeeds (determinism of
-        // the governed path does not perturb the ungoverned one).
-        assert!(
-            resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, 1, None)
-                .expect("no ceiling")
-                .is_some()
-        );
+        let t = decompose_template(&and14, &deltas, 12, 1)
+            .expect("12-input windows are enumerated")
+            .expect("a wide AND decomposes");
+        assert!(t.luts.iter().all(|l| l.inputs.len() <= 12));
+    }
+
+    /// A random function of `n` inputs that decomposes over the window
+    /// `start..start + size` with `r` wires: `g(free, h_1(B), …, h_r(B))`
+    /// for random `g` and `h_j`. With `r = 0` the function is fully
+    /// random (high multiplicity).
+    fn structured(rng: &mut StdRng, n: usize, start: usize, size: usize, r: usize) -> TruthTable {
+        let random = |rng: &mut StdRng, nvars: usize| {
+            let words: Vec<u64> = (0..(1usize << nvars).div_ceil(64))
+                .map(|_| rng.random())
+                .collect();
+            TruthTable::from_bits(nvars as u8, &words)
+        };
+        if r == 0 {
+            return random(rng, n);
+        }
+        let hs: Vec<TruthTable> = (0..r).map(|_| random(rng, size)).collect();
+        let g = random(rng, n - size + r);
+        TruthTable::from_fn(n as u8, |i| {
+            let low = i & ((1 << start) - 1);
+            let b = (i >> start) & ((1 << size) - 1);
+            let high = i >> (start + size);
+            let mut idx = low | (high << start);
+            for (j, h) in hs.iter().enumerate() {
+                idx |= u32::from(h.eval(b)) << (n - size + j);
+            }
+            g.eval(idx)
+        })
+    }
+
+    /// The truth-table extraction matches the BDD reference
+    /// `turbosyn_bdd::decompose` exactly: the same column multiplicity,
+    /// the same encoder tables (classes numbered in first-seen order) and
+    /// the same image table, on seeded random functions of 5–15 inputs,
+    /// bound windows of 2–5, and 1 or 2 wires.
+    #[test]
+    fn extraction_matches_the_bdd_reference() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut decomposed = 0;
+        for _ in 0..160 {
+            let n = rng.random_range(5usize..16);
+            let size = rng.random_range(2usize..6);
+            let start = rng.random_range(0..n - size + 1);
+            let wires = rng.random_range(1usize..3);
+            let r = rng.random_range(0usize..3);
+            let f = structured(&mut rng, n, start, size, r);
+
+            let mut m = Manager::new();
+            let fb = m.from_truth_table(n as u32, f.bits()).expect("fits");
+            let bound: Vec<u32> = (start..start + size).map(|v| v as u32).collect();
+            let mu = column_multiplicity(&mut m, fb, &bound);
+            let (_, reps) = cofactor_classes(&bound_on_top(&f, start, size), size, usize::MAX)
+                .expect("no class limit");
+            assert_eq!(reps.len(), mu, "multiplicity, n {n} window {start}+{size}");
+
+            let reference = decompose(&mut m, fb, &bound, wires, n as u32).expect("valid");
+            let got = extract(&f, start, size, wires);
+            let (Some(dec), Some(ext)) = (reference, got) else {
+                assert!(mu > 1 << wires, "both fail exactly when μ > 2^wires");
+                assert!(extract(&f, start, size, wires).is_none());
+                continue;
+            };
+            decomposed += 1;
+            assert_eq!(dec.multiplicity, mu);
+            let free: Vec<usize> = (0..start).chain(start + size..n).collect();
+            let eval = |m: &Manager, g, assign: &[(usize, bool)]| {
+                let mut values = vec![false; n + 2];
+                for &(v, b) in assign {
+                    values[v] = b;
+                }
+                m.eval(g, &values)
+            };
+            assert_eq!(ext.encoders.len(), dec.encoders.len());
+            for (enc, &h) in ext.encoders.iter().zip(&dec.encoders) {
+                let want = TruthTable::from_fn(size as u8, |b| {
+                    let assign: Vec<(usize, bool)> =
+                        (0..size).map(|j| (start + j, (b >> j) & 1 == 1)).collect();
+                    eval(&m, h, &assign)
+                });
+                assert_eq!(*enc, want, "encoder table");
+            }
+            let nz = dec.encoders.len();
+            let want = TruthTable::from_fn((free.len() + nz) as u8, |i| {
+                let assign: Vec<(usize, bool)> = free
+                    .iter()
+                    .copied()
+                    .chain(n..n + nz)
+                    .enumerate()
+                    .map(|(j, v)| (v, (i >> j) & 1 == 1))
+                    .collect();
+                eval(&m, dec.image, &assign)
+            });
+            assert_eq!(ext.image, want, "image table");
+        }
+        assert!(decomposed >= 40, "only {decomposed} cases decomposed");
     }
 }

@@ -10,7 +10,7 @@ use turbosyn::{
 use turbosyn_netlist::gen;
 
 #[test]
-fn bdd_ceiling_degrades_but_stays_verified() {
+fn sweep_cap_degrades_but_stays_verified() {
     let c = gen::figure1();
 
     // Unbudgeted, resynthesis reaches the paper's φ = 1.
@@ -18,28 +18,31 @@ fn bdd_ceiling_degrades_but_stays_verified() {
     assert_eq!(free.phi, 1);
     assert!(free.degradation.is_none());
 
-    // A one-node BDD ceiling makes every decomposition give up, so the
-    // search can only prove the plain-label ratio feasible.
+    // A two-sweep cap truncates every probe that needs more sweeps (the
+    // TurboMap prepass's φ = 1 probe does) and treats it as infeasible;
+    // one sweep would leave no probe converging at all.
     let opts = MapOptions {
-        budget: Budget::default().with_max_bdd_nodes(1),
+        budget: Budget::default().with_max_sweeps(2),
         ..MapOptions::default()
     };
-    let tight = turbosyn(&c, &opts).expect("still maps under the ceiling");
-    assert!(tight.phi >= free.phi, "degradation never improves φ");
-    assert_eq!(tight.phi, 2, "figure 1 without resynthesis needs φ = 2");
+    let capped = turbosyn(&c, &opts).expect("still maps under the cap");
+    assert!(capped.phi >= free.phi, "degradation never improves φ");
 
-    let d = tight.degradation.as_ref().expect("degradation is reported");
-    assert_eq!(d.phi_achieved, tight.phi);
+    let d = capped
+        .degradation
+        .as_ref()
+        .expect("degradation is reported");
+    assert_eq!(d.phi_achieved, capped.phi);
     assert!(
         d.events
             .iter()
-            .any(|e| matches!(e, DegradeEvent::BddCeiling { .. })),
+            .any(|e| matches!(e, DegradeEvent::SweepCap { .. })),
         "events: {:?}",
         d.events
     );
 
     // The degraded mapping is still a real mapping: verified per-LUT.
-    verify_mapping(&c, &tight.mapped, 5, tight.phi, 48).expect("degraded mapping verifies");
+    verify_mapping(&c, &capped.mapped, 5, capped.phi, 48).expect("degraded mapping verifies");
 }
 
 #[test]
@@ -95,7 +98,7 @@ fn generous_budget_changes_nothing() {
         budget: Budget::default()
             .with_deadline(Duration::from_secs(600))
             .with_max_work(u64::MAX)
-            .with_max_bdd_nodes(usize::MAX)
+            .with_max_sweeps(u64::MAX)
             .with_cancel(CancelToken::new()),
         ..MapOptions::default()
     };

@@ -82,7 +82,7 @@ fn cuts_respect_height() {
             }
             assert!(exp.cut_height(&cut, 1, &labels) <= height);
             // The cone function is well defined (the cut separates).
-            let tt = exp.cone_tt(&c, &cut).expect("cut fits in a truth table");
+            let tt = exp.cone_tt(&c, &cut);
             assert_eq!(tt.nvars() as usize, cut.len());
         }
     }

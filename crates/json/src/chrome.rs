@@ -98,18 +98,6 @@ pub fn summary_to_json(summary: &Summary) -> Json {
             "phases",
             Json::Arr(summary.phases.iter().map(phase_to_json).collect()),
         ),
-        (
-            "counters",
-            Json::Arr(
-                summary
-                    .counters
-                    .iter()
-                    .map(|(name, total)| {
-                        Json::Arr(vec![Json::Str(name.clone()), Json::Int(i128::from(*total))])
-                    })
-                    .collect(),
-            ),
-        ),
     ])
 }
 

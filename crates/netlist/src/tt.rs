@@ -54,6 +54,16 @@ fn tail_mask(nvars: u8) -> u64 {
     }
 }
 
+/// Bit positions within a word where input `v < 6` is 1.
+const LIT_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 impl TruthTable {
     /// The constant function `value` over `nvars` inputs.
     ///
@@ -76,10 +86,14 @@ impl TruthTable {
     pub fn lit(nvars: u8, var: u8) -> Self {
         assert!(var < nvars, "literal {var} out of range for {nvars} inputs");
         let mut t = TruthTable::constant(nvars, false);
-        for i in 0..(1usize << nvars) {
-            if (i >> var) & 1 == 1 {
-                t.bits[i / 64] |= 1 << (i % 64);
-            }
+        for (w, word) in t.bits.iter_mut().enumerate() {
+            *word = if var < 6 {
+                LIT_MASKS[var as usize] & tail_mask(nvars)
+            } else if (w >> (var - 6)) & 1 == 1 {
+                u64::MAX
+            } else {
+                0
+            };
         }
         t
     }
@@ -224,11 +238,74 @@ impl TruthTable {
         })
     }
 
+    /// Whether the function depends on input `var` (its two cofactors
+    /// differ), compared word-parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= nvars`.
+    pub fn depends_on(&self, var: u8) -> bool {
+        assert!(var < self.nvars, "input {var} out of range");
+        if var < 6 {
+            let shift = 1 << var;
+            let low = !LIT_MASKS[var as usize];
+            self.bits.iter().any(|&w| (w ^ (w >> shift)) & low != 0)
+        } else {
+            let stride = 1usize << (var - 6);
+            self.bits
+                .chunks(2 * stride)
+                .any(|pair| pair[..stride] != pair[stride..])
+        }
+    }
+
     /// Inputs the function actually depends on, ascending.
     pub fn support(&self) -> Vec<u8> {
-        (0..self.nvars)
-            .filter(|&v| self.cofactor(v, false) != self.cofactor(v, true))
-            .collect()
+        (0..self.nvars).filter(|&v| self.depends_on(v)).collect()
+    }
+
+    /// Exchanges inputs `a` and `b` in place: the result at an assignment
+    /// is `self` at that assignment with the values of `a` and `b`
+    /// swapped. Word-parallel, so reordering a table's inputs costs a few
+    /// passes over its words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is `>= nvars`.
+    pub fn swap_inputs(&mut self, a: u8, b: u8) {
+        assert!(a < self.nvars && b < self.nvars, "input out of range");
+        let (i, j) = (a.min(b), a.max(b));
+        if i == j {
+            return;
+        }
+        if j < 6 {
+            // Both inside a word: positions with i = 1, j = 0 trade places
+            // with their partners `shift` higher (i = 0, j = 1).
+            let shift = (1 << j) - (1 << i);
+            let m = LIT_MASKS[i as usize] & !LIT_MASKS[j as usize];
+            for w in &mut self.bits {
+                *w = (*w & !(m | (m << shift))) | ((*w & m) << shift) | ((*w >> shift) & m);
+            }
+        } else if i < 6 {
+            // `j` selects a word of each pair, `i` a bit within it.
+            let (shift, m) = (1 << i, LIT_MASKS[i as usize]);
+            let stride = 1usize << (j - 6);
+            for pair in self.bits.chunks_mut(2 * stride) {
+                let (lo, hi) = pair.split_at_mut(stride);
+                for (w0, w1) in lo.iter_mut().zip(hi) {
+                    let (a0, a1) = (*w0, *w1);
+                    *w0 = (a0 & !m) | ((a1 << shift) & m);
+                    *w1 = (a1 & m) | ((a0 >> shift) & !m);
+                }
+            }
+        } else {
+            // Both select words: swap whole words.
+            let (si, sj) = (1usize << (i - 6), 1usize << (j - 6));
+            for w in 0..self.bits.len() {
+                if w & si != 0 && w & sj == 0 {
+                    self.bits.swap(w, w - si + sj);
+                }
+            }
+        }
     }
 
     /// Reexpresses the function over the input subset `keep` (which must
@@ -460,6 +537,43 @@ mod tests {
         // parity: every bound has μ=2.
         let par = TruthTable::from_fn(4, |i| i.count_ones() % 2 == 1);
         assert_eq!(par.column_multiplicity(&[0, 1, 2]), 2);
+    }
+
+    /// The word-parallel `swap_inputs`, `depends_on` and `lit` agree with
+    /// their per-minterm definitions on every input pair, inside a word,
+    /// across words, and between them.
+    #[test]
+    fn word_parallel_ops_match_per_minterm_definitions() {
+        let mut rng = turbosyn_graph::rng::StdRng::seed_from_u64(11);
+        for nvars in [3u8, 6, 8] {
+            let raw: Vec<u64> = (0..4).map(|_| rng.random()).collect();
+            // Pin input 1 to irrelevance so `depends_on` sees both answers.
+            let f = TruthTable::from_bits(nvars, &raw);
+            let f = f.cofactor(1, false);
+            for v in 0..nvars {
+                assert_eq!(f.depends_on(v), f.cofactor(v, false) != f.cofactor(v, true));
+                let lit = TruthTable::from_fn(nvars, |i| (i >> v) & 1 == 1);
+                assert_eq!(TruthTable::lit(nvars, v), lit);
+            }
+            for a in 0..nvars {
+                for b in 0..nvars {
+                    let mut swapped = f.clone();
+                    swapped.swap_inputs(a, b);
+                    let map: Vec<u8> = (0..nvars)
+                        .map(|j| {
+                            if j == a {
+                                b
+                            } else if j == b {
+                                a
+                            } else {
+                                j
+                            }
+                        })
+                        .collect();
+                    assert_eq!(swapped, f.remap(nvars, &map), "swap {a} {b} of {nvars}");
+                }
+            }
+        }
     }
 
     #[test]

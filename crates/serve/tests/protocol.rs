@@ -59,10 +59,6 @@ fn malformed_frames_map_to_typed_errors() {
             "bad_frame",
         ),
         (
-            "{\"type\":\"map\",\"id\":\"m\",\"blif\":\"x\",\"max_bdd_nodes\":0}",
-            "bad_frame",
-        ),
-        (
             "{\"type\":\"map\",\"id\":\"m\",\"blif\":\"x\",\"surprise\":1}",
             "bad_frame",
         ),
@@ -89,6 +85,21 @@ fn malformed_frames_map_to_typed_errors() {
         assert!(
             err.is_recoverable(),
             "content errors keep the session alive: {line}"
+        );
+    }
+}
+
+/// The map frame has no BDD-node ceiling: its old key is unknown at any
+/// value.
+#[test]
+fn bdd_ceiling_key_is_unknown() {
+    for value in ["0", "100000"] {
+        let line =
+            format!("{{\"type\":\"map\",\"id\":\"m\",\"blif\":\"x\",\"max_bdd_nodes\":{value}}}");
+        let err = Request::parse(&line).expect_err(&line);
+        assert_eq!(
+            err,
+            ProtoError::BadFrame("unknown key \"max_bdd_nodes\"".into())
         );
     }
 }

@@ -3,7 +3,7 @@
 //! The synthesis engine attributes its runtime to a handful of *phases*
 //! (label probes and sweeps, flow min-cuts, expansions, PLD checks,
 //! decomposition, the drive loop). This crate records that attribution
-//! with three primitives behind one clonable [`TraceSink`] handle:
+//! with two primitives behind one clonable [`TraceSink`] handle:
 //!
 //! * **Spans** ([`TraceSink::span`]) — nested, timestamped intervals
 //!   forming a tree per sink. Used for the coarse phases whose count is
@@ -13,7 +13,6 @@
 //!   of very high-frequency operations (min-cuts, expansions), folded
 //!   into per-thread log₂-bucket latency histograms at record time so
 //!   memory stays O(phases), not O(calls).
-//! * **Counters** ([`TraceSink::counter`]) — plain named tallies.
 //!
 //! ## Architecture
 //!
@@ -52,7 +51,7 @@ pub const HIST_BUCKETS: usize = 64;
 /// sink id, so a dropped sink's slots can never alias a new sink's).
 static NEXT_SINK: AtomicU64 = AtomicU64::new(1);
 
-/// A handle for recording spans, hot-op timings, and counters.
+/// A handle for recording spans and hot-op timings.
 ///
 /// Cloning is cheap (an `Arc` bump) and every clone feeds the same
 /// trace. The [`Default`] sink is disabled.
@@ -98,10 +97,6 @@ enum Event {
         id: u64,
         seq: u64,
         t1: u64,
-    },
-    Count {
-        name: &'static str,
-        delta: u64,
     },
 }
 
@@ -226,20 +221,6 @@ impl TraceSink {
         }
     }
 
-    /// Adds `delta` to the counter `name`.
-    pub fn counter(&self, name: &'static str, delta: u64) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        with_slot(inner, |slot| {
-            slot.buf
-                .events
-                .lock()
-                .expect("trace event buffer poisoned")
-                .push(Event::Count { name, delta });
-        });
-    }
-
     /// Installs `parent` as this thread's logical base parent for spans
     /// opened while the guard lives. A coordinator passes its span's
     /// [`SpanGuard::id`] to workers so their spans nest under it — the
@@ -256,8 +237,8 @@ impl TraceSink {
     }
 
     /// Collects everything recorded since the last drain: spans merged
-    /// across threads in global sequence order, hot-op histograms, and
-    /// counters. Spans still open at drain time are reported closed at
+    /// across threads in global sequence order, and hot-op histograms.
+    /// Spans still open at drain time are reported closed at
     /// the drain timestamp and flagged [`Span::truncated`].
     #[must_use]
     pub fn drain(&self) -> Trace {
@@ -281,11 +262,9 @@ impl TraceSink {
         }
         events.sort_by_key(|e| match e {
             Event::Open { seq, .. } | Event::Close { seq, .. } => *seq,
-            Event::Count { .. } => u64::MAX,
         });
         let mut spans: Vec<Span> = Vec::new();
         let mut open: Vec<usize> = Vec::new(); // indices into `spans`
-        let mut counters: Vec<(String, u64)> = Vec::new();
         for event in events {
             match event {
                 Event::Open {
@@ -318,20 +297,12 @@ impl TraceSink {
                         span.truncated = false;
                     }
                 }
-                Event::Count { name, delta } => {
-                    match counters.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, total)) => *total += delta,
-                        None => counters.push((name.to_string(), delta)),
-                    }
-                }
             }
         }
         hot.sort_by(|a, b| a.name.cmp(b.name));
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
         Trace {
             spans,
             hot,
-            counters,
             wall_ns,
         }
     }
@@ -513,14 +484,12 @@ pub struct Trace {
     pub spans: Vec<Span>,
     /// Hot-op latency histograms, sorted by name.
     pub hot: Vec<Phase>,
-    /// Counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
     /// The drain timestamp, nanoseconds since the sink was enabled.
     pub wall_ns: u64,
 }
 
 impl Trace {
-    /// Aggregates spans, hot ops, and counters into per-phase summaries
+    /// Aggregates spans and hot ops into per-phase summaries
     /// (the shape the serve `metrics` frame reports).
     #[must_use]
     pub fn summary(&self) -> Summary {
@@ -533,24 +502,17 @@ impl Trace {
         for phase in &self.hot {
             merge_phase(&mut summary.phases, phase);
         }
-        for (name, total) in &self.counters {
-            match summary.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, t)) => *t += total,
-                None => summary.counters.push((name.clone(), *total)),
-            }
-        }
         summary.phases.sort_by(|a, b| a.name.cmp(b.name));
-        summary.counters.sort_by(|a, b| a.0.cmp(&b.0));
         summary
     }
 
     /// Total recording calls behind this trace (span opens + hot-op
-    /// records + counter bumps) — the hook-invocation count the
-    /// disabled-overhead model multiplies by the per-hook cost.
+    /// records) — the hook-invocation count the disabled-overhead model
+    /// multiplies by the per-hook cost.
     #[must_use]
     pub fn hook_calls(&self) -> u64 {
         let hot: u64 = self.hot.iter().map(|p| p.count).sum();
-        self.spans.len() as u64 + hot + self.counters.len() as u64
+        self.spans.len() as u64 + hot
     }
 }
 
@@ -564,8 +526,6 @@ pub struct Summary {
     pub spans: u64,
     /// Total span duration folded in, nanoseconds.
     pub span_ns: u64,
-    /// Counter totals, sorted by name.
-    pub counters: Vec<(String, u64)>,
 }
 
 impl Summary {
@@ -585,13 +545,6 @@ impl Summary {
         self.phases.sort_by(|a, b| a.name.cmp(b.name));
         self.spans += other.spans;
         self.span_ns = self.span_ns.saturating_add(other.span_ns);
-        for (name, total) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, t)) => *t += total,
-                None => self.counters.push((name.clone(), *total)),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
     }
 }
 
@@ -607,11 +560,9 @@ mod tests {
         assert_eq!(guard.id(), 0);
         drop(guard);
         drop(sink.hot("y"));
-        sink.counter("z", 3);
         let trace = sink.drain();
         assert!(trace.spans.is_empty());
         assert!(trace.hot.is_empty());
-        assert!(trace.counters.is_empty());
     }
 
     #[test]
@@ -716,33 +667,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_aggregate_by_name() {
-        let sink = TraceSink::enabled();
-        sink.counter("cuts", 2);
-        sink.counter("cuts", 3);
-        sink.counter("probes", 1);
-        let trace = sink.drain();
-        assert_eq!(
-            trace.counters,
-            vec![("cuts".to_string(), 5), ("probes".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn summary_merges_spans_hot_and_counters() {
+    fn summary_merges_spans_and_hot_ops() {
         let sink = TraceSink::enabled();
         drop(sink.span("phase.a"));
         drop(sink.span("phase.a"));
         drop(sink.hot("phase.a"));
         drop(sink.hot("phase.b"));
-        sink.counter("n", 7);
         let summary = sink.drain().summary();
         assert_eq!(summary.spans, 2);
         let a = summary.phases.iter().find(|p| p.name == "phase.a").unwrap();
         assert_eq!(a.count, 3, "span and hot records under one name merge");
         assert_eq!(a.buckets.iter().sum::<u64>(), a.count);
         assert!(summary.phases.iter().any(|p| p.name == "phase.b"));
-        assert_eq!(summary.counters, vec![("n".to_string(), 7)]);
 
         let mut merged = Summary::default();
         merged.merge(&summary);

@@ -137,6 +137,49 @@ fn coarse_phase_spans_account_for_most_of_the_wall_time() {
 }
 
 #[test]
+fn one_root_span_covers_every_label_probe() {
+    // TurboSYN's TurboMap prepass probes labels before the φ search
+    // starts; the root span around the whole mapper call covers both.
+    let circuit = gen::fsm(gen::FsmConfig {
+        state_bits: 3,
+        inputs: 3,
+        outputs: 3,
+        depth: 6,
+        seed: 7,
+    });
+    let trace = traced_run(&circuit, 1);
+    let roots: Vec<_> = trace.spans.iter().filter(|s| s.parent == 0).collect();
+    assert_eq!(roots.len(), 1, "one root span per mapper call");
+    let root = roots[0];
+    assert_eq!(root.name, "drive");
+    let under_root = |mut id: u64| loop {
+        if id == root.id {
+            return true;
+        }
+        match trace.spans.iter().find(|s| s.id == id) {
+            Some(span) if span.parent != 0 => id = span.parent,
+            _ => return false,
+        }
+    };
+    let probes: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "label.probe")
+        .collect();
+    assert!(!probes.is_empty(), "the run probed labels");
+    assert!(
+        probes.iter().all(|p| under_root(p.id)),
+        "every label.probe nests under the root span"
+    );
+    let probe_ns: u64 = probes.iter().map(|p| p.dur_ns()).sum();
+    assert!(
+        root.dur_ns() >= probe_ns,
+        "root span {} ns < summed label.probe {probe_ns} ns",
+        root.dur_ns()
+    );
+}
+
+#[test]
 fn disabled_sink_overhead_is_under_two_percent() {
     use std::hint::black_box;
     use std::time::Instant;
@@ -149,7 +192,7 @@ fn disabled_sink_overhead_is_under_two_percent() {
         seed: 7,
     });
     // S: how many instrumentation hooks one mapping run actually fires
-    // (spans opened + hot ops + counters), from an enabled run.
+    // (spans opened + hot ops), from an enabled run.
     let hooks = traced_run(&circuit, 1).hook_calls();
     assert!(hooks > 0, "the run exercises the instrumentation");
 

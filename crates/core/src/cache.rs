@@ -1,164 +1,18 @@
-//! Session caches: expansion skeletons and decomposition outcomes that
-//! survive across binary-search probes (and across runs of one
-//! [`Engine`](crate::Engine)).
+//! Session state that survives across binary-search probes (and across
+//! runs of one [`Engine`](crate::Engine)): decomposition outcomes and
+//! the probe lineage.
 //!
-//! The label search rebuilds the same expanded circuits constantly: an
-//! infeasible probe raises a few labels and the next sweep re-expands
-//! every node whose labels did *not* change into a bit-identical
-//! skeleton. [`ExpCache`] memoizes built [`Expansion`]s keyed by
-//! `(root, φ, height)` and validates each hit against the current label
-//! values of the expansion's own nodes — the build is a deterministic
-//! function of exactly those labels, so a matching snapshot guarantees a
-//! bit-identical rebuild. Min-cut results are memoized per skeleton and
-//! per cut limit for the same reason.
-//!
-//! Correctness under budgets: the gauge is charged the full node count
-//! of an expansion *whether or not it was a cache hit*, so governed runs
-//! make identical budget decisions regardless of cache state or worker
-//! interleaving — caching changes wall-clock, never results.
+//! Decomposition verdicts are keyed by the cut function's truth table,
+//! so they are circuit-free and survive rebinding. The lineage (feasible
+//! labels per `(key, φ)` and completed infeasible verdicts) is
+//! per-circuit and is flushed when the engine is bound to a different
+//! circuit structure. Either way the state changes wall-clock, never
+//! results.
 
-use crate::budget::{Gauge, Interrupted};
-use crate::expand::{ExpandFail, ExpandLimits, Expansion};
 use crate::label::{LabelStats, StopRule};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use turbosyn_bdd::cache::DecompCache;
-use turbosyn_graph::maxflow::FlowArena;
 use turbosyn_netlist::{Circuit, NodeKind};
-
-/// Per-worker scratch space: each worker of the parallel label sweep
-/// owns one (`&mut` access, never shared), so flow-network buffers are
-/// reused across the worker's min-cut calls without synchronization.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// Reusable Dinic buffers for min-vertex-cut computations.
-    pub arena: FlowArena,
-}
-
-/// One cached expansion skeleton plus its memoized min-cuts.
-#[derive(Debug)]
-pub(crate) struct CachedExp {
-    /// The materialized expansion (index 0 is the root).
-    pub exp: Expansion,
-    /// `labels[exp.nodes[i].orig]` at build time. The BFS in
-    /// [`Expansion::build`] consults labels only for nodes it reaches —
-    /// all of which end up in `exp.nodes` — so equality of this snapshot
-    /// with the current labels proves a rebuild would be bit-identical.
-    snap: Vec<i64>,
-    /// `(slack, max_nodes)` the skeleton was built under.
-    limits: (usize, usize),
-    /// Memoized `min_cut` results by cut limit.
-    cuts: Mutex<Vec<(usize, Option<Vec<usize>>)>>,
-}
-
-impl CachedExp {
-    fn matches(&self, labels: &[i64], limits: ExpandLimits) -> bool {
-        self.limits == (limits.slack, limits.max_nodes)
-            && self
-                .exp
-                .nodes
-                .iter()
-                .zip(&self.snap)
-                .all(|(n, &s)| labels[n.orig] == s)
-    }
-
-    /// Memoized [`Expansion::min_cut`] on this skeleton.
-    pub fn min_cut(&self, limit: usize, scratch: &mut Scratch) -> Option<Vec<usize>> {
-        let mut cuts = self.cuts.lock().expect("cut memo poisoned");
-        if let Some((_, cut)) = cuts.iter().find(|(l, _)| *l == limit) {
-            return cut.clone();
-        }
-        let cut = self.exp.min_cut_in(limit, &mut scratch.arena);
-        cuts.push((limit, cut.clone()));
-        cut
-    }
-}
-
-const SHARDS: usize = 16;
-/// Per-shard entry cap; a full shard is cleared wholesale (eviction only
-/// affects wall-clock, never results — see the module docs).
-const SHARD_CAP: usize = 4096;
-
-/// One shard: `(root, phi, height)` → skeleton.
-type ExpShard = Mutex<HashMap<(usize, i64, i64), Arc<CachedExp>>>;
-
-/// Sharded, thread-safe cache of expansion skeletons.
-#[derive(Debug)]
-pub(crate) struct ExpCache {
-    shards: Vec<ExpShard>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ExpCache {
-    fn new() -> Self {
-        ExpCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("exp cache poisoned").clear();
-        }
-    }
-
-    fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Returns the cached skeleton for `(root, phi, height)` when its
-    /// label snapshot still matches, else builds (and caches) a fresh
-    /// one. The gauge is charged the skeleton's node count either way.
-    ///
-    /// `Ok(Err(_))` propagates [`ExpandFail`] (not cached: the failing
-    /// build is cheap — it aborts at the offending PI).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    pub fn expansion(
-        &self,
-        c: &Circuit,
-        root: usize,
-        phi: i64,
-        labels: &[i64],
-        height: i64,
-        limits: ExpandLimits,
-        gauge: &Gauge,
-    ) -> Result<Result<Arc<CachedExp>, ExpandFail>, Interrupted> {
-        let key = (root, phi, height);
-        let shard = &self.shards[root % SHARDS];
-        let cached = shard.lock().expect("exp cache poisoned").get(&key).cloned();
-        if let Some(entry) = cached {
-            if entry.matches(labels, limits) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                gauge.charge(entry.exp.nodes.len() as u64)?;
-                return Ok(Ok(entry));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let exp = match Expansion::build(c, root, phi, labels, height, limits) {
-            Ok(exp) => exp,
-            Err(f) => return Ok(Err(f)),
-        };
-        gauge.charge(exp.nodes.len() as u64)?;
-        let snap = exp.nodes.iter().map(|n| labels[n.orig]).collect();
-        let entry = Arc::new(CachedExp {
-            exp,
-            snap,
-            limits: (limits.slack, limits.max_nodes),
-            cuts: Mutex::new(Vec::new()),
-        });
-        let mut map = shard.lock().expect("exp cache poisoned");
-        if map.len() >= SHARD_CAP {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&entry));
-        Ok(Ok(entry))
-    }
-}
 
 /// Cache performance counters of one engine/session.
 ///
@@ -166,10 +20,6 @@ impl ExpCache {
 /// snapshots into the per-request delta an embedding service reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Expansion-skeleton lookups answered from the cache.
-    pub expansion_hits: u64,
-    /// Expansion-skeleton lookups that rebuilt the skeleton.
-    pub expansion_misses: u64,
     /// Decomposition signatures answered from the cache.
     pub decomposition_hits: u64,
     /// Decomposition signatures computed fresh.
@@ -184,10 +34,6 @@ impl CacheStats {
     #[must_use]
     pub fn delta_since(&self, earlier: CacheStats) -> CacheStats {
         CacheStats {
-            expansion_hits: self.expansion_hits.saturating_sub(earlier.expansion_hits),
-            expansion_misses: self
-                .expansion_misses
-                .saturating_sub(earlier.expansion_misses),
             decomposition_hits: self
                 .decomposition_hits
                 .saturating_sub(earlier.decomposition_hits),
@@ -196,18 +42,6 @@ impl CacheStats {
                 .saturating_sub(earlier.decomposition_misses),
         }
     }
-
-    /// Total lookups answered from either cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.expansion_hits + self.decomposition_hits
-    }
-
-    /// Total lookups that had to compute fresh results.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.expansion_misses + self.decomposition_misses
-    }
 }
 
 impl std::ops::Add for CacheStats {
@@ -215,8 +49,6 @@ impl std::ops::Add for CacheStats {
 
     fn add(self, rhs: CacheStats) -> CacheStats {
         CacheStats {
-            expansion_hits: self.expansion_hits + rhs.expansion_hits,
-            expansion_misses: self.expansion_misses + rhs.expansion_misses,
             decomposition_hits: self.decomposition_hits + rhs.decomposition_hits,
             decomposition_misses: self.decomposition_misses + rhs.decomposition_misses,
         }
@@ -282,17 +114,15 @@ struct InfeasibleMark {
 /// one parallel label sweep).
 #[derive(Debug)]
 pub(crate) struct SessionCaches {
-    /// Structural fingerprint of the circuit the expansion cache is
-    /// currently bound to (expansion keys are node indices, so a
-    /// different circuit must flush them; decomposition signatures are
-    /// circuit-free and survive).
+    /// Structural fingerprint of the circuit the lineage is currently
+    /// bound to (decomposition signatures are circuit-free and survive a
+    /// rebind).
     fingerprint: Mutex<Option<u64>>,
-    pub exp: ExpCache,
     pub decomp: DecompCache,
     /// Warm-start lineage for φ probes, one slot per `(LineageKey, φ)`
     /// pair (bounded by the handful of label configurations and probe
     /// ratios a caller uses); labels are per-circuit, so
-    /// [`SessionCaches::bind`] clears it alongside the expansion cache.
+    /// [`SessionCaches::bind`] clears it.
     lineage: Mutex<Vec<ProbeLineage>>,
     /// Completed infeasible verdicts, one per `(LineageKey, stop, φ)`;
     /// per-circuit like the lineage, flushed on rebind.
@@ -307,7 +137,6 @@ impl SessionCaches {
     pub fn new() -> Self {
         SessionCaches {
             fingerprint: Mutex::new(None),
-            exp: ExpCache::new(),
             decomp: DecompCache::new(),
             lineage: Mutex::new(Vec::new()),
             infeasible: Mutex::new(Vec::new()),
@@ -315,15 +144,13 @@ impl SessionCaches {
         }
     }
 
-    /// Binds the caches to `c`, flushing the expansion cache (and the
-    /// probe lineage — both are keyed by node indices / per-circuit
-    /// labels) when the circuit structure changed since the previous
-    /// bind.
+    /// Binds the caches to `c`, flushing the probe lineage (per-circuit
+    /// labels and verdicts) when the circuit structure changed since the
+    /// previous bind.
     pub fn bind(&self, c: &Circuit) {
         let fp = fingerprint(c);
         let mut cur = self.fingerprint.lock().expect("fingerprint poisoned");
         if *cur != Some(fp) {
-            self.exp.clear();
             self.lineage.lock().expect("lineage poisoned").clear();
             self.infeasible.lock().expect("infeasible poisoned").clear();
             *cur = Some(fp);
@@ -416,8 +243,6 @@ impl SessionCaches {
 
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            expansion_hits: self.exp.hits.load(Ordering::Relaxed),
-            expansion_misses: self.exp.misses.load(Ordering::Relaxed),
             decomposition_hits: self.decomp.hits(),
             decomposition_misses: self.decomp.misses(),
         }
@@ -426,7 +251,6 @@ impl SessionCaches {
     /// Zeroes every counter (cache and label-work totals) while keeping
     /// the cached entries — and the warm-start lineage — warm.
     pub fn reset_stats(&self) {
-        self.exp.reset_counters();
         self.decomp.reset_counters();
         *self.label_totals.lock().expect("label totals poisoned") = LabelStats::default();
     }
@@ -469,137 +293,37 @@ fn fingerprint(c: &Circuit) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
+    use turbosyn_bdd::cache::SignatureKey;
     use turbosyn_netlist::gen;
-
-    #[test]
-    fn expansion_hits_on_identical_labels_and_misses_on_changed() {
-        let c = gen::figure1();
-        let root = c.find("g1").expect("exists").index();
-        let mut labels: Vec<i64> = c
-            .node_ids()
-            .map(|id| 2 * i64::from(matches!(c.node(id).kind, NodeKind::Gate(_))))
-            .collect();
-        let cache = ExpCache::new();
-        let gauge = Gauge::new(Budget::default());
-        let limits = ExpandLimits::default();
-        let a = cache
-            .expansion(&c, root, 1, &labels, 2, limits, &gauge)
-            .expect("no budget")
-            .expect("expandable");
-        let b = cache
-            .expansion(&c, root, 1, &labels, 2, limits, &gauge)
-            .expect("no budget")
-            .expect("expandable");
-        assert!(Arc::ptr_eq(&a, &b), "second lookup is a hit");
-        assert_eq!(cache.hits.load(Ordering::Relaxed), 1);
-        // Raise a label inside the skeleton: the snapshot no longer
-        // matches, so the entry is rebuilt.
-        let g0 = c.find("g0").expect("exists").index();
-        assert!(a.exp.nodes.iter().any(|n| n.orig == g0));
-        labels[g0] += 1;
-        let rebuilt = cache
-            .expansion(&c, root, 1, &labels, 2, limits, &gauge)
-            .expect("no budget")
-            .expect("expandable");
-        assert!(!Arc::ptr_eq(&a, &rebuilt), "stale snapshot is rebuilt");
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn cached_min_cut_matches_direct() {
-        let c = gen::figure1();
-        let root = c.find("g1").expect("exists").index();
-        let labels: Vec<i64> = c
-            .node_ids()
-            .map(|id| 2 * i64::from(matches!(c.node(id).kind, NodeKind::Gate(_))))
-            .collect();
-        let cache = ExpCache::new();
-        let gauge = Gauge::new(Budget::default());
-        let mut scratch = Scratch::default();
-        let entry = cache
-            .expansion(&c, root, 1, &labels, 2, ExpandLimits::default(), &gauge)
-            .expect("no budget")
-            .expect("expandable");
-        for limit in [5usize, 15] {
-            let direct = entry.exp.min_cut(limit);
-            let memo1 = entry.min_cut(limit, &mut scratch);
-            let memo2 = entry.min_cut(limit, &mut scratch);
-            assert_eq!(direct, memo1, "limit {limit}");
-            assert_eq!(memo1, memo2, "memoized replay, limit {limit}");
-        }
-    }
-
-    #[test]
-    fn bind_flushes_on_circuit_change_only() {
-        let caches = SessionCaches::new();
-        let c1 = gen::figure1();
-        let c2 = gen::ring(4, 2);
-        caches.bind(&c1);
-        let root = c1.find("g1").expect("exists").index();
-        let labels: Vec<i64> = c1
-            .node_ids()
-            .map(|id| 2 * i64::from(matches!(c1.node(id).kind, NodeKind::Gate(_))))
-            .collect();
-        let gauge = Gauge::new(Budget::default());
-        caches
-            .exp
-            .expansion(&c1, root, 1, &labels, 2, ExpandLimits::default(), &gauge)
-            .expect("no budget")
-            .expect("expandable");
-        caches.bind(&c1); // same circuit: nothing flushed
-        assert_eq!(caches.stats().expansion_misses, 1);
-        caches
-            .exp
-            .expansion(&c1, root, 1, &labels, 2, ExpandLimits::default(), &gauge)
-            .expect("no budget")
-            .expect("expandable");
-        assert_eq!(caches.stats().expansion_hits, 1);
-        caches.bind(&c2); // different circuit: expansion cache flushed
-        let empty = caches
-            .exp
-            .shards
-            .iter()
-            .all(|s| s.lock().unwrap().is_empty());
-        assert!(empty, "bind to a new circuit flushes skeletons");
-    }
 
     #[test]
     fn stats_reset_keeps_entries_and_deltas_are_saturating() {
         let caches = SessionCaches::new();
-        let c = gen::figure1();
-        caches.bind(&c);
-        let root = c.find("g1").expect("exists").index();
-        let labels: Vec<i64> = c
-            .node_ids()
-            .map(|id| 2 * i64::from(matches!(c.node(id).kind, NodeKind::Gate(_))))
-            .collect();
-        let gauge = Gauge::new(Budget::default());
-        for _ in 0..2 {
-            caches
-                .exp
-                .expansion(&c, root, 1, &labels, 2, ExpandLimits::default(), &gauge)
-                .expect("no budget")
-                .expect("expandable");
-        }
+        let key = SignatureKey {
+            nvars: 2,
+            tt: vec![6],
+            deltas: vec![-1, -2],
+            k: 4,
+            max_wires: 1,
+        };
+        assert!(caches.decomp.get(&key).is_none());
+        caches.decomp.insert(key.clone(), None);
+        assert!(caches.decomp.get(&key).is_some());
         let before = caches.stats();
-        assert_eq!((before.expansion_hits, before.expansion_misses), (1, 1));
+        assert_eq!(
+            (before.decomposition_hits, before.decomposition_misses),
+            (1, 1)
+        );
         caches.reset_stats();
         assert_eq!(caches.stats(), CacheStats::default(), "counters zeroed");
-        caches
-            .exp
-            .expansion(&c, root, 1, &labels, 2, ExpandLimits::default(), &gauge)
-            .expect("no budget")
-            .expect("expandable");
+        assert!(caches.decomp.get(&key).is_some());
         let after = caches.stats();
-        assert_eq!(after.expansion_hits, 1, "entries stayed warm across reset");
+        assert_eq!(after.decomposition_hits, 1, "entries stayed warm");
         // A saturating delta across the reset reports the fresh totals.
-        assert_eq!(after.delta_since(before).expansion_hits, 0);
+        assert_eq!(after.delta_since(before).decomposition_hits, 0);
         assert_eq!(after.delta_since(CacheStats::default()), after);
-        assert_eq!(after.hits(), 1);
-        assert_eq!(after.misses(), 0);
         let sum = after + before;
-        assert_eq!(sum.expansion_misses, 1);
+        assert_eq!((sum.decomposition_hits, sum.decomposition_misses), (2, 1));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The free mapper functions ([`turbosyn`](crate::turbosyn) and friends)
 //! are stateless: every call builds its caches from scratch. An
-//! [`Engine`] keeps the expansion-skeleton and decomposition caches
-//! alive across calls, so mapping the same (or a structurally similar)
-//! circuit again reuses earlier work. Results are identical either way —
+//! [`Engine`] keeps the probe lineage (converged labels and verdicts per
+//! φ) and the decomposition cache alive across calls, so mapping the
+//! same circuit again replays its probes, and a structurally similar one
+//! reuses decomposition outcomes. Results are identical either way —
 //! caching only changes wall-clock (see [`crate::cache`] internals for
-//! the argument).
+//! the argument). Expansions and flows are not cached: each worker
+//! rebuilds them in its own scratch (`crate::expand`).
 
 use crate::budget::{Budget, Gauge};
 use crate::cache::{CacheStats, SessionCaches};
@@ -76,7 +78,7 @@ impl Engine {
     }
 
     /// Zeroes the cache and label-work counters while keeping every
-    /// cached skeleton, decomposition outcome, and warm-start lineage
+    /// cached decomposition outcome and warm-start lineage
     /// warm. Later runs still hit the warm state; only the accounting
     /// restarts.
     pub fn reset_cache_stats(&self) {

@@ -21,8 +21,8 @@
 //! required by the paper's Theorem 2.
 
 use crate::budget::{Budget, DegradeEvent, Gauge, Interrupted};
-use crate::cache::{LineageKey, Scratch, SessionCaches};
-use crate::expand::{ExpandFail, ExpandLimits};
+use crate::cache::{LineageKey, SessionCaches};
+use crate::expand::{ExpandLimits, Scratch};
 use crate::pld::{PldProbe, PldVerdict};
 use std::sync::atomic::{AtomicBool, Ordering};
 use turbosyn_graph::scc::condensation;
@@ -219,9 +219,14 @@ impl LabelOutcome {
 /// along the way contributes its original-node set to it. That set is
 /// exactly the label support of this evaluation: the verdict is a
 /// deterministic function of the labels of those nodes (plus `v`'s
-/// direct fanins, which determine `big_l`) — the same invariant the
-/// expansion cache's snapshot validation rests on. The worklist engine
+/// direct fanins, which determine `big_l`), because an expansion build
+/// consults labels only for the nodes it reaches. The worklist engine
 /// re-evaluates `v` only when one of these labels rises.
+///
+/// The gauge is charged the node count of every expansion *use* (the
+/// handed-down one included, see [`resyn_realization`]), so governed
+/// runs trip their work budget at the same point whatever the scratch
+/// state or worker interleaving.
 ///
 /// Budget interruptions abort the whole probe (`Err`) — they never alter
 /// the label decision itself, which keeps governed and ungoverned runs
@@ -241,43 +246,42 @@ pub(crate) fn label_candidate(
 ) -> Result<i64, Interrupted> {
     // Flow test: K-cut of height <= L(v)?
     stats.cut_tests += 1;
-    let expanded = {
+    let built = {
         let _t = gauge.trace().hot("expand");
-        caches
-            .exp
-            .expansion(c, v, opts.phi, labels, big_l, opts.expand, gauge)?
+        scratch.expand(c, v, opts.phi, labels, big_l, opts.expand)
     };
-    match expanded {
-        Ok(entry) => {
-            if let Some(d) = deps.as_deref_mut() {
-                d.extend(entry.exp.nodes.iter().map(|n| n.orig));
-            }
-            let cut = {
-                let _t = gauge.trace().hot("flow.min_cut");
-                entry.min_cut(opts.k, scratch)
-            };
-            if cut.is_some() {
-                return Ok(big_l);
-            }
-            if opts.resynthesis {
-                stats.resyn_attempts += 1;
-                if resyn_realization(c, v, big_l, labels, opts, gauge, caches, scratch, deps)?
-                    .is_some()
-                {
-                    stats.resyn_successes += 1;
-                    return Ok(big_l);
-                }
-            }
-            Ok(big_l + 1)
-        }
-        Err(ExpandFail::PiMustBeInside) => Ok(big_l + 1),
+    if built.is_err() {
+        return Ok(big_l + 1); // a PI must be inside: no cut of height L(v)
     }
+    gauge.charge(scratch.exp.nodes.len() as u64)?;
+    if let Some(d) = deps.as_deref_mut() {
+        d.extend(scratch.exp.nodes.iter().map(|n| n.orig));
+    }
+    let cut = {
+        let _t = gauge.trace().hot("flow.min_cut");
+        scratch.min_cut(opts.k)
+    };
+    if cut.is_some() {
+        return Ok(big_l);
+    }
+    if opts.resynthesis {
+        stats.resyn_attempts += 1;
+        if resyn_realization(c, v, big_l, labels, opts, gauge, caches, scratch, deps)?.is_some() {
+            stats.resyn_successes += 1;
+            return Ok(big_l);
+        }
+    }
+    Ok(big_l + 1)
 }
 
 /// The paper's LabelUpdateSYN descent (Figure 3): min-cuts of height
 /// `L(v) − h` for growing `h`, capped at `Cmax` inputs, each tried for
 /// decomposition to root label `L(v)`. Returns the realization so that
 /// mapping generation can replay the exact same decision.
+///
+/// `scratch` must hold `E_v` at height `L(v)` with the flow of its failed
+/// `K`-limited cut test, as both callers leave it: the `h = 0` step
+/// continues that flow to `Cmax` instead of rebuilding the expansion.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resyn_realization(
     c: &Circuit,
@@ -290,32 +294,33 @@ pub(crate) fn resyn_realization(
     scratch: &mut Scratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<Option<crate::seqdecomp::Realization>, Interrupted> {
+    debug_assert_eq!(scratch.exp.nodes[0].orig, v, "handed-down expansion");
     // Consecutive descent heights often yield the same min-cut; skip the
     // (expensive) decomposition retry when nothing changed.
     let mut last_cut: Option<Vec<(usize, i64)>> = None;
     for h in 0..64 {
         let height = big_l - h;
-        let expanded = {
-            let _t = gauge.trace().hot("expand");
-            caches
-                .exp
-                .expansion(c, v, opts.phi, labels, height, opts.expand, gauge)?
-        };
-        let entry = match expanded {
-            Ok(entry) => entry,
-            Err(ExpandFail::PiMustBeInside) => return Ok(None),
-        };
-        if let Some(d) = deps.as_deref_mut() {
-            d.extend(entry.exp.nodes.iter().map(|n| n.orig));
+        if h > 0 {
+            let built = {
+                let _t = gauge.trace().hot("expand");
+                scratch.expand(c, v, opts.phi, labels, height, opts.expand)
+            };
+            if built.is_err() {
+                return Ok(None);
+            }
+            if let Some(d) = deps.as_deref_mut() {
+                d.extend(scratch.exp.nodes.iter().map(|n| n.orig));
+            }
         }
-        let exp = &entry.exp;
+        gauge.charge(scratch.exp.nodes.len() as u64)?;
         let cut = {
             let _t = gauge.trace().hot("flow.min_cut");
-            entry.min_cut(opts.cmax, scratch)
+            scratch.min_cut(opts.cmax)
         };
         let Some(cut) = cut else {
             return Ok(None); // cut-size > Cmax (give up)
         };
+        let exp = &scratch.exp;
         if cut.len() <= opts.k && exp.cut_height(&cut, opts.phi, labels) <= big_l {
             // Narrow enough already (the deeper min-cut shrank below K).
             return Ok(Some(crate::seqdecomp::Realization::from_cut(exp, c, &cut)));

@@ -12,8 +12,8 @@
 //! [`crate::verify`]), and a final retiming/pipelining pass realizes the
 //! clock period φ.
 
-use crate::cache::{Scratch, SessionCaches};
-use crate::expand::{ExpandFail, Expansion};
+use crate::cache::SessionCaches;
+use crate::expand::{ExpandFail, Scratch};
 use crate::label::{resyn_realization, LabelOptions};
 use crate::seqdecomp::{LutInput, Realization};
 use std::collections::HashMap;
@@ -52,14 +52,13 @@ pub(crate) fn realize(
     scratch: &mut Scratch,
 ) -> Result<Realization, MapGenError> {
     let h = labels[v];
-    if let Ok(exp) = Expansion::build(c, v, opts.phi, labels, h, opts.expand) {
-        if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.arena) {
-            return Ok(Realization::from_cut(&exp, c, &cut));
-        }
-    } else {
-        // PiMustBeInside at the node's own label can only happen on
-        // corrupted label tables.
+    // PiMustBeInside at the node's own label can only happen on
+    // corrupted label tables.
+    let Ok(()) = scratch.expand(c, v, opts.phi, labels, h, opts.expand) else {
         return Err(MapGenError::Unrealizable { node: v });
+    };
+    if let Some(cut) = scratch.min_cut(opts.k) {
+        return Ok(Realization::from_cut(&scratch.exp, c, &cut));
     }
     if opts.resynthesis {
         // Replay runs ungoverned: every decision the label search made is
@@ -78,12 +77,13 @@ pub(crate) fn realize(
     // is max(l(u) − φw) + 1 <= l(v) + 1; always K-feasible for a
     // K-bounded input. Only reachable on inconsistent label tables, but
     // keeps generation total.
-    let exp = Expansion::build(c, v, opts.phi, labels, h + 1, opts.expand)
+    scratch
+        .expand(c, v, opts.phi, labels, h + 1, opts.expand)
         .map_err(|ExpandFail::PiMustBeInside| MapGenError::Unrealizable { node: v })?;
-    let cut = exp
-        .min_cut_in(opts.k, &mut scratch.arena)
+    let cut = scratch
+        .min_cut(opts.k)
         .ok_or(MapGenError::Unrealizable { node: v })?;
-    Ok(Realization::from_cut(&exp, c, &cut))
+    Ok(Realization::from_cut(&scratch.exp, c, &cut))
 }
 
 /// Generates the mapped LUT circuit for converged `labels` at
@@ -209,10 +209,11 @@ pub(crate) fn generate_mapping_with(
             }
             // Try plain cuts at growing heights up to the budget.
             for h in (eff[v] + 1)..=budget.min(eff[v] + 8) {
-                let Ok(exp) = Expansion::build(c, v, opts.phi, &eff, h, opts.expand) else {
+                let Ok(()) = scratch.expand(c, v, opts.phi, &eff, h, opts.expand) else {
                     break;
                 };
-                if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.arena) {
+                if let Some(cut) = scratch.min_cut(opts.k) {
+                    let exp = &scratch.exp;
                     // The relaxed cut must not need any *new* gates (their
                     // realizations would not have been budget-checked);
                     // all inputs must already be realized or PIs.
@@ -222,7 +223,7 @@ pub(crate) fn generate_mapping_with(
                             || realizations.contains_key(&orig)
                     });
                     if ok {
-                        let new_r = Realization::from_cut(&exp, c, &cut);
+                        let new_r = Realization::from_cut(exp, c, &cut);
                         // Update the use index: drop v's old uses, add new.
                         for sites in uses.values_mut() {
                             sites.retain(|&(root, _)| root != v);

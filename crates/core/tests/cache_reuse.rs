@@ -1,6 +1,7 @@
 //! Cache-correctness contract for [`Engine`]: mapping the same circuit
-//! twice through one engine hits the expansion and decomposition caches
-//! on the second pass and still produces an identical report.
+//! twice through one engine replays every probe from the lineage and
+//! hits the decomposition cache on the second pass, and still produces
+//! an identical report.
 
 use turbosyn::{Engine, MapOptions, MapReport};
 use turbosyn_netlist::{blif, gen};
@@ -27,6 +28,7 @@ fn second_run_hits_caches_and_matches_first() {
 
     let first = engine.turbosyn(&c, &opts).expect("first run maps");
     let after_first = engine.cache_stats();
+    let work_first = engine.label_stats();
     assert!(
         after_first.decomposition_misses > 0,
         "the first run must populate the decomposition cache"
@@ -34,6 +36,7 @@ fn second_run_hits_caches_and_matches_first() {
 
     let second = engine.turbosyn(&c, &opts).expect("second run maps");
     let after_second = engine.cache_stats();
+    let work_second = engine.label_stats().delta_since(work_first);
 
     assert_eq!(
         fingerprint(&second),
@@ -44,9 +47,10 @@ fn second_run_hits_caches_and_matches_first() {
         after_second.decomposition_hits > after_first.decomposition_hits,
         "second run must hit the decomposition cache: {after_second:?}"
     );
-    assert!(
-        after_second.expansion_hits > after_first.expansion_hits,
-        "second run must hit the expansion cache: {after_second:?}"
+    assert!(work_first.sweeps > 0, "first run sweeps: {work_first:?}");
+    assert_eq!(
+        work_second.sweeps, 0,
+        "second run must replay every probe from the lineage: {work_second:?}"
     );
 }
 
@@ -70,10 +74,10 @@ fn engine_matches_stateless_mappers() {
 }
 
 #[test]
-fn structural_change_flushes_expansion_reuse_but_stays_correct() {
-    // Alternating circuits through one engine: the expansion cache is
-    // keyed to a structural fingerprint and must never leak skeletons
-    // from one circuit into another.
+fn structural_change_flushes_lineage_but_stays_correct() {
+    // Alternating circuits through one engine: the probe lineage is
+    // keyed to a structural fingerprint and must never leak labels from
+    // one circuit into another.
     let a = gen::figure1();
     let b = gen::fsm(gen::FsmConfig {
         state_bits: 2,

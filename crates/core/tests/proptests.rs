@@ -45,7 +45,7 @@ fn expansion_invariants() {
             }
             if exp.expanded[i] {
                 assert!(
-                    !exp.fanins[i].is_empty()
+                    !exp.fanins(i).is_empty()
                         || c.node(turbosyn_netlist::NodeId::from_index(n.orig))
                             .fanins
                             .is_empty()

@@ -18,8 +18,9 @@
 //! * [`cycle_ratio`] — exact maximum delay-to-register (MDR) ratio of a
 //!   cyclic graph, the quantity the whole paper minimizes
 //!   (Papaefthymiou, *Mathematical Systems Theory* 1994).
-//! * [`maxflow`] — max-flow / min-cut with unit vertex capacities, the
-//!   FlowMap-style K-feasible-cut engine.
+//! * [`maxflow`] — general max-flow / minimum vertex cut with early
+//!   termination, the reference the mappers' FlowMap cut kernel (which
+//!   runs straight on the expanded circuit) is tested against.
 //! * [`mincost`] — min-cost flow (successive shortest paths), the solver
 //!   behind exact minimum-register retiming.
 //! * [`reach`] — multi-source reachability used by positive-loop detection

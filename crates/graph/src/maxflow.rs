@@ -3,18 +3,15 @@
 //! The FlowMap family of mappers decides *"is there a K-feasible cut?"* by
 //! computing a maximum flow in a node-split network and stopping as soon as
 //! the flow exceeds `K` — the exact value of a larger flow is never needed.
-//! [`FlowNetwork`] is a Dinic implementation with that early-exit, and
-//! [`min_vertex_cut`] wraps the standard node-splitting construction used
-//! on expanded circuits.
+//! [`FlowNetwork`] is a general Dinic implementation with that early exit,
+//! and [`min_vertex_cut`] wraps the standard node-splitting construction.
+//! The mappers run their own unit-capacity kernel straight on the
+//! expanded circuit (`turbosyn::expand`); this module is the reference
+//! its tests compare against.
 
 use crate::Digraph;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 const INF: u32 = u32::MAX / 2;
-
-/// A stop flag that never fires, used by the uninterruptible entry points
-/// to share one code path with the `_interruptible` variants.
-static NEVER: AtomicBool = AtomicBool::new(false);
 
 #[derive(Debug, Clone)]
 struct Arc {
@@ -55,26 +52,6 @@ impl FlowNetwork {
             level: vec![-1; n],
             iter: vec![0; n],
         }
-    }
-
-    /// Clears the network back to `n` isolated nodes while keeping the
-    /// backing allocations, so a long-lived network (see [`FlowArena`])
-    /// can be reused across many flow computations without reallocating
-    /// its adjacency and arc buffers each time.
-    pub fn reset(&mut self, n: usize) {
-        for a in &mut self.adj {
-            a.clear();
-        }
-        if self.adj.len() > n {
-            self.adj.truncate(n);
-        } else {
-            self.adj.resize_with(n, Vec::new);
-        }
-        self.arcs.clear();
-        self.level.clear();
-        self.level.resize(n, -1);
-        self.iter.clear();
-        self.iter.resize(n, 0);
     }
 
     /// Number of nodes.
@@ -126,25 +103,6 @@ impl FlowNetwork {
     ///
     /// Panics if `s == t` or either is out of range.
     pub fn max_flow(&mut self, s: usize, t: usize, limit: u32) -> u32 {
-        self.max_flow_interruptible(s, t, limit, &NEVER)
-            .expect("a never-set stop flag cannot interrupt")
-    }
-
-    /// [`FlowNetwork::max_flow`] with a cooperative stop flag, polled once
-    /// per Dinic BFS phase (so cancellation latency is one phase, not one
-    /// whole flow computation). Returns `None` if the flag was observed
-    /// set; the network is then mid-computation and should be discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s == t` or either is out of range.
-    pub fn max_flow_interruptible(
-        &mut self,
-        s: usize,
-        t: usize,
-        limit: u32,
-        stop: &AtomicBool,
-    ) -> Option<u32> {
         assert!(
             s < self.adj.len() && t < self.adj.len(),
             "terminal out of range"
@@ -152,9 +110,6 @@ impl FlowNetwork {
         assert_ne!(s, t, "source and sink must differ");
         let mut flow = 0u32;
         while flow <= limit {
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
             if !self.bfs(s, t) {
                 break;
             }
@@ -166,11 +121,11 @@ impl FlowNetwork {
                 }
                 flow += f;
                 if flow > limit {
-                    return Some(flow);
+                    return flow;
                 }
             }
         }
-        Some(flow)
+        flow
     }
 
     fn bfs(&mut self, s: usize, t: usize) -> bool {
@@ -266,94 +221,6 @@ pub fn min_vertex_cut(
     cap: &[u32],
     limit: u32,
 ) -> VertexCut {
-    min_vertex_cut_interruptible(g, sources, sinks, cap, limit, &NEVER)
-        .expect("a never-set stop flag cannot interrupt")
-}
-
-/// [`min_vertex_cut`] with a cooperative stop flag (see
-/// [`FlowNetwork::max_flow_interruptible`]). Returns `None` if the flag
-/// was observed set before the cut was decided.
-///
-/// # Panics
-///
-/// Same conditions as [`min_vertex_cut`].
-pub fn min_vertex_cut_interruptible(
-    g: &Digraph,
-    sources: &[usize],
-    sinks: &[usize],
-    cap: &[u32],
-    limit: u32,
-    stop: &AtomicBool,
-) -> Option<VertexCut> {
-    let mut arena = FlowArena::new();
-    arena.min_vertex_cut_interruptible(g, sources, sinks, cap, limit, stop)
-}
-
-/// Reusable scratch buffers for repeated min-cut computations.
-///
-/// The label sweep solves one minimum vertex cut per node per sweep; the
-/// network layout differs every time but the buffer *shapes* recur, so a
-/// per-worker arena amortizes the allocations. An arena is deliberately
-/// `!Sync`-by-convention — each worker thread owns one (`&mut` access) —
-/// while the inputs it operates on are shared.
-#[derive(Debug, Default)]
-pub struct FlowArena {
-    net: FlowNetwork,
-}
-
-impl FlowArena {
-    /// A fresh arena with empty buffers.
-    pub fn new() -> Self {
-        FlowArena {
-            net: FlowNetwork::new(0),
-        }
-    }
-
-    /// [`min_vertex_cut`] computed in this arena's reusable network.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`min_vertex_cut`].
-    pub fn min_vertex_cut(
-        &mut self,
-        g: &Digraph,
-        sources: &[usize],
-        sinks: &[usize],
-        cap: &[u32],
-        limit: u32,
-    ) -> VertexCut {
-        self.min_vertex_cut_interruptible(g, sources, sinks, cap, limit, &NEVER)
-            .expect("a never-set stop flag cannot interrupt")
-    }
-
-    /// [`min_vertex_cut_interruptible`] computed in this arena's
-    /// reusable network.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`min_vertex_cut`].
-    pub fn min_vertex_cut_interruptible(
-        &mut self,
-        g: &Digraph,
-        sources: &[usize],
-        sinks: &[usize],
-        cap: &[u32],
-        limit: u32,
-        stop: &AtomicBool,
-    ) -> Option<VertexCut> {
-        min_vertex_cut_in(&mut self.net, g, sources, sinks, cap, limit, stop)
-    }
-}
-
-fn min_vertex_cut_in(
-    net: &mut FlowNetwork,
-    g: &Digraph,
-    sources: &[usize],
-    sinks: &[usize],
-    cap: &[u32],
-    limit: u32,
-    stop: &AtomicBool,
-) -> Option<VertexCut> {
     assert_eq!(cap.len(), g.node_count(), "capacity table size mismatch");
     assert!(!sources.is_empty(), "no sources");
     assert!(!sinks.is_empty(), "no sinks");
@@ -369,7 +236,7 @@ fn min_vertex_cut_in(
     }
 
     // Layout: v_in = 2v, v_out = 2v+1, super-source = 2n, super-sink = 2n+1.
-    net.reset(2 * n + 2);
+    let mut net = FlowNetwork::new(2 * n + 2);
     let (ss, tt) = (2 * n, 2 * n + 1);
     for v in 0..n {
         let c = if is_source[v] || is_sink[v] {
@@ -389,16 +256,16 @@ fn min_vertex_cut_in(
         net.add_arc(2 * t + 1, tt, INF);
     }
 
-    let flow = net.max_flow_interruptible(ss, tt, limit, stop)?;
+    let flow = net.max_flow(ss, tt, limit);
     if flow > limit {
-        return Some(VertexCut::ExceedsLimit);
+        return VertexCut::ExceedsLimit;
     }
     let side = net.min_cut_source_side(ss);
     let cut: Vec<usize> = (0..n)
         .filter(|&v| side[2 * v] && !side[2 * v + 1])
         .collect();
     debug_assert!(cut.iter().map(|&v| cap[v] as u64).sum::<u64>() == flow as u64);
-    Some(VertexCut::Cut(cut))
+    VertexCut::Cut(cut)
 }
 
 #[cfg(test)]
@@ -519,65 +386,6 @@ mod tests {
             VertexCut::Cut(cut) => assert_eq!(cut, vec![2]),
             VertexCut::ExceedsLimit => panic!("cut expected"),
         }
-    }
-
-    #[test]
-    fn pre_set_stop_flag_interrupts_max_flow() {
-        let stop = AtomicBool::new(true);
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 1);
-        net.add_arc(1, 3, 1);
-        assert_eq!(net.max_flow_interruptible(0, 3, 10, &stop), None);
-    }
-
-    #[test]
-    fn unset_stop_flag_matches_plain_variant() {
-        let stop = AtomicBool::new(false);
-        let mut g = Digraph::new(4);
-        g.add_edge(0, 1, 0);
-        g.add_edge(0, 2, 0);
-        g.add_edge(1, 3, 0);
-        g.add_edge(2, 3, 0);
-        let plain = min_vertex_cut(&g, &[0], &[3], &[1; 4], 5);
-        let inter = min_vertex_cut_interruptible(&g, &[0], &[3], &[1; 4], 5, &stop)
-            .expect("unset flag never interrupts");
-        assert_eq!(plain, inter);
-        assert_eq!(
-            min_vertex_cut_interruptible(&g, &[0], &[3], &[1; 4], 5, &AtomicBool::new(true)),
-            None
-        );
-    }
-
-    #[test]
-    fn arena_reuse_matches_fresh_networks() {
-        let mut arena = FlowArena::new();
-        for size in [4usize, 8, 3, 12] {
-            // A funnel: sources 0..size/2 through one mid vertex to the sink.
-            let mid = size;
-            let sink = size + 1;
-            let mut g = Digraph::new(size + 2);
-            for s in 0..size / 2 {
-                g.add_edge(s, mid, 0);
-            }
-            g.add_edge(mid, sink, 0);
-            let caps = vec![1u32; size + 2];
-            let srcs: Vec<usize> = (0..size / 2).collect();
-            let fresh = min_vertex_cut(&g, &srcs, &[sink], &caps, 10);
-            let reused = arena.min_vertex_cut(&g, &srcs, &[sink], &caps, 10);
-            assert_eq!(fresh, reused, "size {size}");
-        }
-    }
-
-    #[test]
-    fn reset_clears_previous_arcs() {
-        let mut net = FlowNetwork::new(3);
-        net.add_arc(0, 1, 7);
-        net.add_arc(1, 2, 7);
-        assert_eq!(net.max_flow(0, 2, 100), 7);
-        net.reset(2);
-        assert_eq!(net.node_count(), 2);
-        // No arcs survive the reset: zero flow in the fresh network.
-        assert_eq!(net.max_flow(0, 1, 100), 0);
     }
 
     #[test]

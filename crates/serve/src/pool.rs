@@ -1,14 +1,14 @@
 //! The engine pool: worker threads that keep caches warm across
 //! requests.
 //!
-//! Each worker owns one [`Engine`] for its whole lifetime, so the
-//! expansion-skeleton and decomposition caches built by one request are
-//! live for the next. Jobs are routed by the *circuit fingerprint*
+//! Each worker owns one [`Engine`] for its whole lifetime, so the probe
+//! lineage and decomposition cache built by one request are live for
+//! the next. Jobs are routed by the *circuit fingerprint*
 //! (FNV-1a over the BLIF text): the same circuit always lands on the
 //! same worker, which guarantees the warm-cache path on resubmission
 //! and — because one engine is only ever driven by its one worker
 //! thread — serializes cache binds per engine, so two different
-//! circuits can never interleave on shared skeleton state.
+//! circuits can never interleave on shared lineage state.
 //!
 //! Per-request cache deltas are exact for the same reason: the worker
 //! snapshots its engine's counters before and after the run with no
@@ -315,7 +315,6 @@ mod tests {
         let text = blif::write(&gen::figure1());
         let fp = fingerprint(&text);
         let mut workers = Vec::new();
-        let mut deltas = Vec::new();
         let mut work = Vec::new();
         for _ in 0..2 {
             let circuit = blif::parse(&text).expect("parses");
@@ -325,26 +324,13 @@ mod tests {
             assert_eq!(outcome.worker, worker);
             outcome.result.as_ref().expect("maps cleanly");
             workers.push(worker);
-            deltas.push(outcome.cache_delta);
             work.push(outcome.work_delta);
         }
         assert_eq!(workers[0], workers[1], "same circuit pins to one worker");
-        // The first run populates the expansion cache (cross-probe hits
-        // can occur even cold); the warm second run stops missing.
-        assert!(
-            deltas[0].expansion_misses > 0,
-            "cold run misses: {:?}",
-            deltas[0]
-        );
-        assert!(
-            deltas[1].expansion_hits > 0 && deltas[1].expansion_misses < deltas[0].expansion_misses,
-            "second run rides the warm cache: {:?} vs {:?}",
-            deltas[1],
-            deltas[0]
-        );
         // The pinned worker's engine keeps its probe lineage, so the
-        // resubmission warm-starts and does strictly less label work.
+        // resubmission replays every probe without a single sweep.
         assert!(work[0].sweeps > 0, "cold run sweeps: {:?}", work[0]);
+        assert_eq!(work[1].sweeps, 0, "warm run replays: {:?}", work[1]);
         assert!(
             work[1].warm_started_probes > 0 && work[1].cut_tests < work[0].cut_tests,
             "second run warm-starts its probes: {:?} vs {:?}",
@@ -371,7 +357,7 @@ mod tests {
         )
         .expect("submits");
         rx.recv().expect("replies").result.expect("maps");
-        assert!(pool.worker_stats()[0].cache.expansion_misses > 0);
+        assert!(pool.worker_stats()[0].cache.decomposition_misses > 0);
         assert!(pool.worker_stats()[0].work.sweeps > 0);
         pool.reset_cache_stats();
         assert_eq!(pool.worker_stats()[0].cache, CacheStats::default());

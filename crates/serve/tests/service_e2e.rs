@@ -34,8 +34,8 @@ fn start(config: ServeConfig) -> (Server, String) {
 #[test]
 fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     let (server, addr) = start(ServeConfig::default());
-    // figure1 is known to exercise the expansion cache (some circuits
-    // map without any expansion queries and would show empty deltas).
+    // figure1 resynthesizes, so its cold map runs label sweeps at every
+    // probe the warm resubmission then replays from the lineage.
     let text = blif::write(&figure1());
 
     // The ground truth: the same engine path the one-shot CLI drives
@@ -63,16 +63,11 @@ fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
         "caching must never change results"
     );
     assert_eq!(cold.worker, warm.worker, "fingerprint pins the worker");
-    assert!(
-        warm.cache.expansion_hits > 0,
-        "warm run reports cache hits: {:?}",
-        warm.cache
-    );
-    assert!(
-        warm.cache.expansion_misses < cold.cache.expansion_misses,
-        "warm run misses less: warm {:?} vs cold {:?}",
-        warm.cache,
-        cold.cache
+    assert!(cold.work.sweeps > 0, "cold run sweeps: {:?}", cold.work);
+    assert_eq!(
+        warm.work.sweeps, 0,
+        "warm run replays every probe from the lineage: {:?}",
+        warm.work
     );
 
     client.shutdown().expect("shutdown ack");

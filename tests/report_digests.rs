@@ -1,10 +1,11 @@
 //! Report bytes pinned on the fast `gen::suite()` rows: FNV-1a digests of
-//! `report_to_json` for TurboSYN and FlowSYN-s at K = 4, 5 and 6, plus
-//! `max_wires = 2` at K = 5 on two rows. Any change to a mapping decision
+//! `report_to_json` for TurboSYN, TurboMap and FlowSYN-s at K = 4, 5 and
+//! 6, plus `max_wires = 2` at K = 5 on two rows, plus TurboSYN runs under
+//! work budgets that run out mid-search. Any change to a mapping decision
 //! (a label, a decomposition, a LUT table) changes a digest; a change
 //! that is meant to alter reports must update this table and say why.
 
-use turbosyn::{flowsyn_s, report_to_json, turbosyn, MapOptions};
+use turbosyn::{flowsyn_s, report_to_json, turbomap, turbosyn, Budget, MapOptions};
 use turbosyn_netlist::gen;
 
 /// (suite row, algorithm, K, max_wires, digest of the report JSON).
@@ -55,6 +56,38 @@ const PINNED: &[(&str, &str, usize, usize, u64)] = &[
     ("s838", "FlowSYN-s", 6, 1, 0xa2869e4c206e2466),
     ("s838", "TurboSYN", 5, 2, 0x61fc3d3fc71d6c6f),
     ("s838", "FlowSYN-s", 5, 2, 0x5b39df96e25325b0),
+    ("bbara", "TurboMap", 4, 1, 0xaa08bb2ee0ebc3de),
+    ("bbara", "TurboMap", 5, 1, 0x415b37352f4d0346),
+    ("bbara", "TurboMap", 6, 1, 0xbc5df8ae71d89922),
+    ("bbsse", "TurboMap", 4, 1, 0xedced814fcdda885),
+    ("bbsse", "TurboMap", 5, 1, 0x9b1ba26ed7037f12),
+    ("bbsse", "TurboMap", 6, 1, 0x97026cd9f91a84ea),
+    ("cse", "TurboMap", 4, 1, 0x31079f70cef5778e),
+    ("cse", "TurboMap", 5, 1, 0x0286a12f59b31bcf),
+    ("cse", "TurboMap", 6, 1, 0x83cdf7025fda195d),
+    ("dk16", "TurboMap", 4, 1, 0x34f15474f5734ff0),
+    ("dk16", "TurboMap", 5, 1, 0x5c45896bd3856da1),
+    ("dk16", "TurboMap", 6, 1, 0x63baf649e8bfe100),
+    ("kirkman", "TurboMap", 4, 1, 0x82549abcf79dfbc4),
+    ("kirkman", "TurboMap", 5, 1, 0x2302ac35c432d099),
+    ("kirkman", "TurboMap", 6, 1, 0x1401d80137e9616d),
+    ("s420", "TurboMap", 4, 1, 0x8bb7f07487d09d5d),
+    ("s420", "TurboMap", 5, 1, 0x57a4b392fad6f263),
+    ("s420", "TurboMap", 6, 1, 0x61b13168737cb80f),
+    ("s838", "TurboMap", 4, 1, 0xb55476e0db53d159),
+    ("s838", "TurboMap", 5, 1, 0xef1f205d535af1d0),
+    ("s838", "TurboMap", 6, 1, 0x4aba954c93244297),
+];
+
+/// (suite row, K, `Budget::with_max_work` cap, digest) of TurboSYN runs
+/// that degrade mid-search. The gauge is charged the node count of every
+/// expansion use, so the cap trips at a fixed point: 178727 is exactly
+/// the work through the φ = 1 probe (one node more anywhere abandons
+/// φ = 1 instead of φ = 2), and 267617 is one node short of the whole
+/// search (one node less anywhere completes it without degrading).
+const WORK_CAPPED: &[(&str, usize, u64, u64)] = &[
+    ("cse", 5, 178_727, 0x5c8dc25072efb7ab),
+    ("cse", 5, 267_617, 0x5c8dc25072efb7ab),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -66,27 +99,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn suite_reports_match_pinned_digests() {
     let suite = gen::suite();
-    let mut mismatches = Vec::new();
-    for &(row, algorithm, k, max_wires, want) in PINNED {
-        let circuit = &suite
+    let circuit = |row: &str| {
+        &suite
             .iter()
             .find(|b| b.name == row)
             .expect("pinned row is in the suite")
-            .circuit;
+            .circuit
+    };
+    let digest = |report| fnv1a(report_to_json(&report).write().as_bytes());
+    let mut mismatches = Vec::new();
+    for &(row, algorithm, k, max_wires, want) in PINNED {
         let opts = MapOptions {
             k,
             max_wires,
             ..MapOptions::default()
         };
         let report = match algorithm {
-            "TurboSYN" => turbosyn(circuit, &opts),
-            _ => flowsyn_s(circuit, &opts),
+            "TurboSYN" => turbosyn(circuit(row), &opts),
+            "TurboMap" => turbomap(circuit(row), &opts),
+            _ => flowsyn_s(circuit(row), &opts),
         }
         .expect("maps");
-        let got = fnv1a(report_to_json(&report).write().as_bytes());
+        let got = digest(report);
         if got != want {
             mismatches.push(format!(
                 "{row} {algorithm} K={k} wires={max_wires}: 0x{got:016x}"
+            ));
+        }
+    }
+    for &(row, k, max_work, want) in WORK_CAPPED {
+        let opts = MapOptions {
+            k,
+            budget: Budget::default().with_max_work(max_work),
+            ..MapOptions::default()
+        };
+        let got = digest(turbosyn(circuit(row), &opts).expect("degrades, still maps"));
+        if got != want {
+            mismatches.push(format!(
+                "{row} TurboSYN K={k} max_work={max_work}: 0x{got:016x}"
             ));
         }
     }

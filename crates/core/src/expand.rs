@@ -84,7 +84,9 @@ const NONE: u32 = u32::MAX;
 
 /// Reusable buffers of [`Expansion::build`]: the `(orig, weight)` →
 /// replica index, kept as epoch-stamped per-original-node chains, and the
-/// BFS queue.
+/// BFS queue. The index is looked up once per materialized fanin; a
+/// `HashMap` cleared per build made warm service resubmissions, whose
+/// mapping generation is mostly expansion builds, measurably slower.
 #[derive(Debug, Default)]
 pub(crate) struct BuildScratch {
     /// Per original node: `(epoch, newest replica)`; stale unless the
@@ -157,9 +159,15 @@ impl Expansion {
         height: i64,
         limits: ExpandLimits,
     ) -> Result<Expansion, ExpandFail> {
-        let mut scratch = Scratch::default();
-        scratch.expand(c, root, phi, labels, height, limits)?;
-        Ok(scratch.exp)
+        let mut exp = Expansion::default();
+        exp.rebuild(
+            c,
+            (root, phi, height),
+            labels,
+            limits,
+            &mut BuildScratch::default(),
+        )?;
+        Ok(exp)
     }
 
     /// [`Expansion::build`] of `(root, phi, height)` into this expansion's

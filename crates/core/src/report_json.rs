@@ -118,9 +118,16 @@ pub fn degrade_event_to_json(event: &DegradeEvent) -> Json {
 }
 
 /// Encodes cache counters (totals or a per-request delta).
+///
+/// There is no expansion cache, but `expansion_hits` and
+/// `expansion_misses` are still written, always 0, because perfbench's
+/// per-layer metric list (`cache.exp_*`) reads them; they go when that
+/// list drops them.
 #[must_use]
 pub fn cache_stats_to_json(stats: &CacheStats) -> Json {
     Json::obj(vec![
+        ("expansion_hits", Json::from(0u64)),
+        ("expansion_misses", Json::from(0u64)),
         ("decomposition_hits", Json::from(stats.decomposition_hits)),
         (
             "decomposition_misses",
@@ -233,7 +240,8 @@ mod tests {
         let j = cache_stats_to_json(&s);
         assert_eq!(
             j.write(),
-            "{\"decomposition_hits\":3,\"decomposition_misses\":4}"
+            "{\"expansion_hits\":0,\"expansion_misses\":0,\
+             \"decomposition_hits\":3,\"decomposition_misses\":4}"
         );
     }
 }

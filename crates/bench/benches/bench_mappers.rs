@@ -19,9 +19,9 @@
 //! The `probe_ladder/*` section runs the full φ binary search on the
 //! two largest generated circuits — cold, then resubmitted to the same
 //! engine (the serve daemon's workload) — once with the delta-driven
-//! worklist, warm-started probes, and exact-φ lineage replay (the
-//! default), and once with all of it disabled (`full_sweeps` legacy
-//! mode). It records the two runs' summed `sweeps` / `cut_tests`
+//! worklist (the default) and once without it (`full_sweeps` legacy
+//! mode); both replay the resubmission from the exact-φ probe memo. It
+//! records the two runs' summed `sweeps` / `cut_tests`
 //! counters alongside the timing; the gate thresholds those counters at
 //! 5% raw, which is the regression tripwire for the incremental
 //! machinery itself. All four runs must produce bit-identical reports —
@@ -174,7 +174,7 @@ fn main() {
     // on (default) vs off (`full_sweeps` legacy). Counters are
     // deterministic, so they are recorded for the 5% counter gate; all
     // four reports must be bit-identical (that is the whole contract of
-    // the worklist/warm-start/lineage rewrite).
+    // the worklist and the probe memo).
     let mut ranked: Vec<_> = suite.iter().collect();
     ranked.sort_by_key(|b| std::cmp::Reverse(b.circuit.node_count()));
     for b in ranked.iter().take(2) {
@@ -182,7 +182,6 @@ fn main() {
         for (variant, full_sweeps) in [("delta", false), ("full", true)] {
             let opts = MapOptions {
                 full_sweeps,
-                warm_start: !full_sweeps,
                 ..MapOptions::default()
             };
             let engine = turbosyn::Engine::new();

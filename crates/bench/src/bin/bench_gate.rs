@@ -24,7 +24,7 @@
 //! binary does the same number of cut tests anywhere — so they are
 //! compared raw (never calib-normalized) and the threshold is much
 //! tighter than the timing one. This is what catches a regression that
-//! quietly disables the worklist or warm-start machinery: wall-clock on
+//! quietly disables the worklist or the probe memo: wall-clock on
 //! a fast runner might still pass, the work counts cannot.
 //!
 //! Exit codes: `0` pass, `1` regression (or vanished bench/counter),

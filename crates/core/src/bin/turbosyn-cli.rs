@@ -350,7 +350,7 @@ fn main() -> ExitCode {
             report.stats.sweeps, report.stats.cut_tests, report.stats.resyn_successes
         );
         eprintln!(
-            "label work saved: {} candidates skipped, {} warm-started probes, \
+            "label work saved: {} candidates skipped, {} replayed probes, \
              {} PLD checks skipped",
             report.stats.candidates_skipped,
             report.stats.warm_started_probes,

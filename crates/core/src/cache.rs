@@ -1,15 +1,15 @@
 //! Session state that survives across binary-search probes (and across
 //! runs of one [`Engine`](crate::Engine)): decomposition outcomes and
-//! the probe lineage.
+//! the memo of settled φ probes.
 //!
 //! Decomposition verdicts are keyed by the cut function's truth table,
-//! so they are circuit-free and survive rebinding. The lineage (feasible
-//! labels per `(key, φ)` and completed infeasible verdicts) is
+//! so they are circuit-free and survive rebinding. The probe memo
+//! (feasible labels or the infeasible SCC size per `(key, stop, φ)`) is
 //! per-circuit and is flushed when the engine is bound to a different
-//! circuit structure. Either way the state changes wall-clock, never
-//! results.
+//! circuit structure. Every probe that misses the memo starts cold, so
+//! either way the state changes wall-clock, never results.
 
-use crate::label::{LabelStats, StopRule};
+use crate::label::{LabelOutcome, LabelStats, StopRule};
 use std::sync::Mutex;
 use turbosyn_bdd::cache::DecompCache;
 use turbosyn_netlist::{Circuit, NodeKind};
@@ -56,15 +56,13 @@ impl std::ops::Add for CacheStats {
 }
 
 /// Identity of a label-computation configuration, as far as converged
-/// labels are concerned. Two probes with equal keys and equal φ produce
-/// identical labels on the same circuit; the φ dimension is kept outside
-/// the key because it carries an *order* ([`ProbeLineage`] exploits the
-/// anti-monotonicity of labels in φ).
+/// labels are concerned: half of the [`SessionCaches`] memo key (the
+/// other half is the stopping rule and φ). Two probes with equal keys,
+/// stopping rules and φ reach the same verdict on the same circuit.
 ///
-/// Deliberately excluded: `stop` (only changes how infeasibility is
-/// detected, never a feasible fixpoint), `jobs`/`full_sweeps`/
-/// `warm_start` (bit-identical labels by the chaotic-iteration argument
-/// in [`crate::label`]), and `relax` (mapping generation only).
+/// Deliberately excluded: `jobs`/`full_sweeps` (bit-identical labels by
+/// the chaotic-iteration argument in [`crate::label`]) and `relax`
+/// (mapping generation only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LineageKey {
     pub k: usize,
@@ -75,58 +73,32 @@ pub(crate) struct LineageKey {
     pub max_wires: usize,
 }
 
-/// A warm-start slot: converged labels of a *feasible* probe under one
-/// `(key, φ)` pair.
-///
-/// Labels are anti-monotone in φ (a smaller ratio is harder, so every
-/// lower bound can only be larger) — hence the stored labels are valid
-/// starting lower bounds for any probe at `φ' <= φ` with the same key,
-/// and for a probe at exactly the stored φ they *are* the fixpoint (the
-/// engine is deterministic), so the probe can replay them outright.
-/// One slot per `(key, φ)` keeps every rung of a binary-search ladder
-/// available: a resubmitted search replays each feasible probe from its
-/// own slot instead of re-converging from the tightest one. Keys get
-/// distinct slots so the TurboSYN prepass (resynthesis off) and the
-/// resynthesis search each keep their own lineage across runs instead
-/// of clobbering each other's.
+/// A settled probe: the outcome of the label computation under
+/// `(key, stop, phi)` on the bound circuit, carrying the work counters
+/// of a replay (one replayed probe, nothing else). The computation is
+/// deterministic, so the outcome replays exactly: feasible labels *are*
+/// the fixpoint, and an infeasible SCC size *is* the verdict.
 #[derive(Debug)]
-struct ProbeLineage {
-    key: LineageKey,
-    phi: i64,
-    labels: Vec<i64>,
-}
-
-/// A completed *infeasible* probe: under `(key, stop, phi)` the label
-/// computation on the bound circuit is deterministic, so the verdict —
-/// including the size of the SCC whose positive loop tripped detection —
-/// replays without re-running the climb. Only probes that ran to their
-/// natural stopping rule are marked (a sweep-cap degrade depends on the
-/// caller's budget, not on the circuit, and is never recorded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct InfeasibleMark {
+struct SettledProbe {
     key: LineageKey,
     stop: StopRule,
     phi: i64,
-    scc_size: usize,
+    outcome: LabelOutcome,
 }
 
 /// The caches one engine shares across runs (and across the workers of
 /// one parallel label sweep).
 #[derive(Debug)]
 pub(crate) struct SessionCaches {
-    /// Structural fingerprint of the circuit the lineage is currently
+    /// Structural fingerprint of the circuit the probe memo is currently
     /// bound to (decomposition signatures are circuit-free and survive a
     /// rebind).
     fingerprint: Mutex<Option<u64>>,
     pub decomp: DecompCache,
-    /// Warm-start lineage for φ probes, one slot per `(LineageKey, φ)`
-    /// pair (bounded by the handful of label configurations and probe
-    /// ratios a caller uses); labels are per-circuit, so
-    /// [`SessionCaches::bind`] clears it.
-    lineage: Mutex<Vec<ProbeLineage>>,
-    /// Completed infeasible verdicts, one per `(LineageKey, stop, φ)`;
-    /// per-circuit like the lineage, flushed on rebind.
-    infeasible: Mutex<Vec<InfeasibleMark>>,
+    /// Settled φ probes, one per `(LineageKey, stop, φ)` (bounded by the
+    /// handful of label configurations and probe ratios a caller uses);
+    /// outcomes are per-circuit, so [`SessionCaches::bind`] clears it.
+    probes: Mutex<Vec<SettledProbe>>,
     /// Label-work counters accumulated over every probe of this session
     /// (the engine-level observability feed; per-run counters live in
     /// [`crate::mappers::MapReport::stats`]).
@@ -138,94 +110,68 @@ impl SessionCaches {
         SessionCaches {
             fingerprint: Mutex::new(None),
             decomp: DecompCache::new(),
-            lineage: Mutex::new(Vec::new()),
-            infeasible: Mutex::new(Vec::new()),
+            probes: Mutex::new(Vec::new()),
             label_totals: Mutex::new(LabelStats::default()),
         }
     }
 
-    /// Binds the caches to `c`, flushing the probe lineage (per-circuit
-    /// labels and verdicts) when the circuit structure changed since the
-    /// previous bind.
+    /// Binds the caches to `c`, flushing the probe memo when the circuit
+    /// structure changed since the previous bind.
     pub fn bind(&self, c: &Circuit) {
         let fp = fingerprint(c);
         let mut cur = self.fingerprint.lock().expect("fingerprint poisoned");
         if *cur != Some(fp) {
-            self.lineage.lock().expect("lineage poisoned").clear();
-            self.infeasible.lock().expect("infeasible poisoned").clear();
+            self.probes.lock().expect("probe memo poisoned").clear();
             *cur = Some(fp);
         }
     }
 
-    /// Warm-start labels for a probe at `phi` under `key`: the stored
-    /// feasible labels that converged at the *smallest* ratio `>= phi`
-    /// (anti-monotonicity makes every such slot a valid lower bound;
-    /// the smallest ratio gives the tightest one).
-    pub fn lineage_labels(&self, key: &LineageKey, phi: i64, n: usize) -> Option<Vec<i64>> {
-        let slots = self.lineage.lock().expect("lineage poisoned");
-        slots
+    /// The outcome of an earlier probe at exactly `(key, stop, phi)` on
+    /// the bound circuit, with the work counters of a replay.
+    pub fn settled_probe(
+        &self,
+        key: &LineageKey,
+        stop: StopRule,
+        phi: i64,
+    ) -> Option<LabelOutcome> {
+        let probes = self.probes.lock().expect("probe memo poisoned");
+        probes
             .iter()
-            .filter(|l| l.key == *key && l.phi >= phi && l.labels.len() == n)
-            .min_by_key(|l| l.phi)
-            .map(|l| l.labels.clone())
+            .find(|p| p.key == *key && p.stop == stop && p.phi == phi)
+            .map(|p| p.outcome.clone())
     }
 
-    /// The converged labels of an earlier feasible probe at *exactly*
-    /// `(key, phi)`, if one completed on the bound circuit. Label
-    /// computation is deterministic, so these are not merely a warm
-    /// start — they are the fixpoint itself, and the probe can return
-    /// them without a single sweep.
-    pub fn exact_lineage(&self, key: &LineageKey, phi: i64, n: usize) -> Option<Vec<i64>> {
-        let slots = self.lineage.lock().expect("lineage poisoned");
-        slots
-            .iter()
-            .find(|l| l.key == *key && l.phi == phi && l.labels.len() == n)
-            .map(|l| l.labels.clone())
-    }
-
-    /// Records the converged labels of a feasible probe, replacing any
-    /// earlier slot for the same `(key, phi)` pair.
-    pub fn store_lineage(&self, key: LineageKey, phi: i64, labels: &[i64]) {
-        let mut slots = self.lineage.lock().expect("lineage poisoned");
-        let entry = ProbeLineage {
-            key,
-            phi,
-            labels: labels.to_vec(),
+    /// Records the outcome of a probe at `(key, stop, phi)`, replacing any
+    /// earlier entry for the same coordinates. The caller must ensure an
+    /// infeasible outcome stopped through its own rule (PLD or the n²
+    /// bound), not through a budget degrade.
+    pub fn settle_probe(&self, key: LineageKey, stop: StopRule, phi: i64, outcome: &LabelOutcome) {
+        let stats = LabelStats {
+            warm_started_probes: 1,
+            ..LabelStats::default()
         };
-        match slots.iter_mut().find(|l| l.key == key && l.phi == phi) {
-            Some(slot) => *slot = entry,
-            None => slots.push(entry),
-        }
-    }
-
-    /// The recorded SCC size of an earlier infeasible probe at exactly
-    /// `(key, stop, phi)`, if one ran to its natural stopping rule on
-    /// the bound circuit.
-    pub fn infeasible_verdict(&self, key: &LineageKey, stop: StopRule, phi: i64) -> Option<usize> {
-        let marks = self.infeasible.lock().expect("infeasible poisoned");
-        marks
-            .iter()
-            .find(|m| m.key == *key && m.stop == stop && m.phi == phi)
-            .map(|m| m.scc_size)
-    }
-
-    /// Records a completed infeasible verdict. The caller must ensure
-    /// the probe stopped through its own rule (PLD or the n² bound),
-    /// not through a budget degrade.
-    pub fn store_infeasible(&self, key: LineageKey, stop: StopRule, phi: i64, scc_size: usize) {
-        let mut marks = self.infeasible.lock().expect("infeasible poisoned");
-        let entry = InfeasibleMark {
+        let outcome = match outcome {
+            LabelOutcome::Feasible { labels, .. } => LabelOutcome::Feasible {
+                labels: labels.clone(),
+                stats,
+            },
+            &LabelOutcome::Infeasible { scc_size, .. } => {
+                LabelOutcome::Infeasible { stats, scc_size }
+            }
+        };
+        let entry = SettledProbe {
             key,
             stop,
             phi,
-            scc_size,
+            outcome,
         };
-        match marks
+        let mut probes = self.probes.lock().expect("probe memo poisoned");
+        match probes
             .iter_mut()
-            .find(|m| m.key == key && m.stop == stop && m.phi == phi)
+            .find(|p| p.key == key && p.stop == stop && p.phi == phi)
         {
-            Some(mark) => *mark = entry,
-            None => marks.push(entry),
+            Some(slot) => *slot = entry,
+            None => probes.push(entry),
         }
     }
 
@@ -249,7 +195,7 @@ impl SessionCaches {
     }
 
     /// Zeroes every counter (cache and label-work totals) while keeping
-    /// the cached entries — and the warm-start lineage — warm.
+    /// the cached entries — and the probe memo — warm.
     pub fn reset_stats(&self) {
         self.decomp.reset_counters();
         *self.label_totals.lock().expect("label totals poisoned") = LabelStats::default();
@@ -357,90 +303,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lineage_slots_are_per_key_and_phi_ordered() {
-        let caches = SessionCaches::new();
-        caches.bind(&gen::figure1());
-        let key = lineage_key(true);
-        let other = lineage_key(false);
-        assert_eq!(caches.lineage_labels(&key, 1, 3), None, "empty at start");
-        caches.store_lineage(key, 3, &[1, 2, 3]);
-        // Valid for probes at φ <= 3 (anti-monotone), never above.
-        assert_eq!(caches.lineage_labels(&key, 2, 3), Some(vec![1, 2, 3]));
-        assert_eq!(caches.lineage_labels(&key, 3, 3), Some(vec![1, 2, 3]));
-        assert_eq!(caches.lineage_labels(&key, 4, 3), None);
-        // Wrong length (a different circuit shape) never matches.
-        assert_eq!(caches.lineage_labels(&key, 2, 4), None);
-        // A different key neither reads nor clobbers this slot.
-        assert_eq!(caches.lineage_labels(&other, 2, 3), None);
-        caches.store_lineage(other, 5, &[9, 9, 9]);
-        assert_eq!(caches.lineage_labels(&key, 2, 3), Some(vec![1, 2, 3]));
-        assert_eq!(caches.lineage_labels(&other, 4, 3), Some(vec![9, 9, 9]));
-        // A second rung coexists with the first; a warm-start lookup
-        // picks the tightest valid one (smallest stored φ >= probe φ).
-        caches.store_lineage(key, 2, &[4, 5, 6]);
-        assert_eq!(caches.lineage_labels(&key, 2, 3), Some(vec![4, 5, 6]));
-        assert_eq!(caches.lineage_labels(&key, 1, 3), Some(vec![4, 5, 6]));
-        assert_eq!(caches.lineage_labels(&key, 3, 3), Some(vec![1, 2, 3]));
-        // Re-storing the same (key, φ) replaces in place.
-        caches.store_lineage(key, 2, &[7, 8, 9]);
-        assert_eq!(caches.lineage_labels(&key, 2, 3), Some(vec![7, 8, 9]));
+    fn feasible(labels: &[i64]) -> LabelOutcome {
+        LabelOutcome::Feasible {
+            labels: labels.to_vec(),
+            stats: LabelStats::default(),
+        }
+    }
+
+    fn labels_of(outcome: Option<LabelOutcome>) -> Option<Vec<i64>> {
+        match outcome? {
+            LabelOutcome::Feasible { labels, .. } => Some(labels),
+            LabelOutcome::Infeasible { .. } => None,
+        }
+    }
+
+    fn scc_size_of(outcome: Option<LabelOutcome>) -> Option<usize> {
+        match outcome? {
+            LabelOutcome::Feasible { .. } => None,
+            LabelOutcome::Infeasible { scc_size, .. } => Some(scc_size),
+        }
     }
 
     #[test]
-    fn exact_lineage_requires_the_same_phi() {
+    fn settled_probes_replay_only_their_exact_coordinates() {
+        use StopRule::{NSquared, Pld};
         let caches = SessionCaches::new();
         caches.bind(&gen::figure1());
         let key = lineage_key(true);
-        caches.store_lineage(key, 3, &[1, 2, 3]);
-        assert_eq!(caches.exact_lineage(&key, 3, 3), Some(vec![1, 2, 3]));
-        // φ = 2 may warm-start from the φ = 3 slot, but it is not a
-        // replayable fixpoint for φ = 2.
-        assert_eq!(caches.exact_lineage(&key, 2, 3), None);
-        assert_eq!(caches.exact_lineage(&key, 4, 3), None);
-        assert_eq!(caches.exact_lineage(&key, 3, 4), None, "wrong length");
-        assert_eq!(caches.exact_lineage(&lineage_key(false), 3, 3), None);
+        assert!(
+            caches.settled_probe(&key, Pld, 3).is_none(),
+            "empty at start"
+        );
+        let worked = LabelOutcome::Feasible {
+            labels: vec![1, 2, 3],
+            stats: LabelStats {
+                sweeps: 4,
+                ..LabelStats::default()
+            },
+        };
+        caches.settle_probe(key, Pld, 3, &worked);
+        let replay = caches.settled_probe(&key, Pld, 3).expect("settled");
+        assert_eq!(
+            replay.stats(),
+            LabelStats {
+                warm_started_probes: 1,
+                ..LabelStats::default()
+            },
+            "a replay counts itself, not the original work"
+        );
+        assert_eq!(labels_of(Some(replay)), Some(vec![1, 2, 3]));
+        // Exact on every dimension: a feasible φ = 3 says nothing about
+        // φ = 2, and neither the stopping rule nor the key is shared.
+        assert!(caches.settled_probe(&key, Pld, 2).is_none());
+        assert!(caches.settled_probe(&key, Pld, 4).is_none());
+        assert!(caches.settled_probe(&key, NSquared, 3).is_none());
+        assert!(caches.settled_probe(&lineage_key(false), Pld, 3).is_none());
+        // Infeasible verdicts share the memo and its lookup.
+        let infeasible = LabelOutcome::Infeasible {
+            stats: LabelStats::default(),
+            scc_size: 7,
+        };
+        caches.settle_probe(key, Pld, 1, &infeasible);
+        assert_eq!(scc_size_of(caches.settled_probe(&key, Pld, 1)), Some(7));
+        assert!(caches.settled_probe(&key, NSquared, 1).is_none());
+        // The same coordinates replace in place.
+        caches.settle_probe(key, Pld, 3, &feasible(&[7, 8, 9]));
+        assert_eq!(
+            labels_of(caches.settled_probe(&key, Pld, 3)),
+            Some(vec![7, 8, 9])
+        );
+        assert_eq!(caches.probes.lock().expect("memo").len(), 2);
     }
 
     #[test]
-    fn infeasible_marks_are_exact_and_flushed_on_rebind() {
-        let caches = SessionCaches::new();
-        caches.bind(&gen::figure1());
-        let key = lineage_key(true);
-        assert_eq!(caches.infeasible_verdict(&key, StopRule::Pld, 1), None);
-        caches.store_infeasible(key, StopRule::Pld, 1, 7);
-        assert_eq!(caches.infeasible_verdict(&key, StopRule::Pld, 1), Some(7));
-        // Exact on every dimension: φ, stopping rule, and key.
-        assert_eq!(caches.infeasible_verdict(&key, StopRule::Pld, 2), None);
-        assert_eq!(caches.infeasible_verdict(&key, StopRule::NSquared, 1), None);
-        assert_eq!(
-            caches.infeasible_verdict(&lineage_key(false), StopRule::Pld, 1),
-            None
-        );
-        caches.store_infeasible(key, StopRule::Pld, 1, 9);
-        assert_eq!(
-            caches.infeasible_verdict(&key, StopRule::Pld, 1),
-            Some(9),
-            "same coordinates replace in place"
-        );
-        caches.bind(&gen::ring(4, 2));
-        assert_eq!(
-            caches.infeasible_verdict(&key, StopRule::Pld, 1),
-            None,
-            "marks are per-circuit"
-        );
-    }
-
-    #[test]
-    fn bind_to_new_circuit_flushes_lineage() {
+    fn bind_to_new_circuit_flushes_the_probe_memo() {
         let caches = SessionCaches::new();
         let c1 = gen::figure1();
         caches.bind(&c1);
         let key = lineage_key(true);
-        caches.store_lineage(key, 3, &[1, 2, 3]);
-        caches.bind(&c1); // same circuit: lineage survives
-        assert_eq!(caches.lineage_labels(&key, 3, 3), Some(vec![1, 2, 3]));
-        caches.bind(&gen::ring(4, 2)); // new circuit: labels are stale
-        assert_eq!(caches.lineage_labels(&key, 3, 3), None);
+        caches.settle_probe(key, StopRule::Pld, 3, &feasible(&[1, 2, 3]));
+        caches.bind(&c1); // same circuit: the memo survives
+        assert_eq!(
+            labels_of(caches.settled_probe(&key, StopRule::Pld, 3)),
+            Some(vec![1, 2, 3])
+        );
+        caches.bind(&gen::ring(4, 2)); // new circuit: outcomes are stale
+        assert!(caches.settled_probe(&key, StopRule::Pld, 3).is_none());
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The free mapper functions ([`turbosyn`](crate::turbosyn) and friends)
 //! are stateless: every call builds its caches from scratch. An
-//! [`Engine`] keeps the probe lineage (converged labels and verdicts per
-//! φ) and the decomposition cache alive across calls, so mapping the
-//! same circuit again replays its probes, and a structurally similar one
-//! reuses decomposition outcomes. Results are identical either way —
+//! [`Engine`] keeps the probe memo (the settled outcome of every φ probe
+//! on the current circuit) and the decomposition cache alive across
+//! calls, so mapping the same circuit again replays its probes, and a
+//! structurally similar one reuses decomposition outcomes. A probe that
+//! misses the memo starts cold. Results are identical either way —
 //! caching only changes wall-clock (see [`crate::cache`] internals for
 //! the argument). Expansions and flows are not cached: each worker
 //! rebuilds them in its own scratch (`crate::expand`).
@@ -78,8 +79,7 @@ impl Engine {
     }
 
     /// Zeroes the cache and label-work counters while keeping every
-    /// cached decomposition outcome and warm-start lineage
-    /// warm. Later runs still hit the warm state; only the accounting
+    /// cached decomposition outcome and settled probe warm. Later runs still hit the warm state; only the accounting
     /// restarts.
     pub fn reset_cache_stats(&self) {
         self.caches.reset_stats();
@@ -94,8 +94,9 @@ impl Engine {
     }
 
     /// [`label::compute_labels`](crate::label::compute_labels) sharing
-    /// this engine's caches — in particular the probe-lineage slot, so
-    /// consecutive probes at descending φ warm-start from each other.
+    /// this engine's caches: a probe at a `(key, stop, φ)` this engine
+    /// already settled replays its outcome; any other probe starts cold,
+    /// so the outcome never depends on the probes run before it.
     ///
     /// # Panics
     ///

@@ -77,12 +77,6 @@ pub struct LabelOptions {
     /// this knob exists for A/B comparison (the fixpoint property test
     /// and the `probe_ladder` bench), not correctness.
     pub full_sweeps: bool,
-    /// Reuse the converged labels of an earlier feasible probe at a
-    /// ratio `>= phi` as starting lower bounds (labels are anti-monotone
-    /// in φ, so they are sound ones — see [`crate::cache`]). Converges
-    /// to the same fixpoint as a cold start; off only for A/B
-    /// comparison.
-    pub warm_start: bool,
 }
 
 impl LabelOptions {
@@ -99,7 +93,6 @@ impl LabelOptions {
             relax: true,
             jobs: 1,
             full_sweeps: false,
-            warm_start: true,
         }
     }
 
@@ -128,9 +121,10 @@ pub struct LabelStats {
     /// label rose since their last evaluation) and skipped — each one a
     /// cut test the full-sweep engine would have re-run.
     pub candidates_skipped: u64,
-    /// Probes that drew on the engine's lineage instead of starting at
-    /// the floor: warm starts from a feasible probe at a larger φ, and
-    /// outright replays of an exact `(key, φ)` verdict (zero sweeps).
+    /// Probes replayed from the engine's memo of an earlier probe at the
+    /// exact same `(key, stop, φ)`, with zero sweeps; every other probe
+    /// starts cold. The name is kept because the serve and bench JSON
+    /// carry it as a key.
     pub warm_started_probes: u64,
     /// Positive-loop checks answered by the grounded fast path (a
     /// floor-labelled SCC member) without a reachability query.
@@ -444,30 +438,26 @@ pub fn compute_labels_governed(
 /// expansion can flip a flow verdict (by turning a node must-inside)
 /// without touching any direct fanin.
 ///
-/// ## Warm-started probes
+/// ## Cold probes and the exact-φ memo
 ///
-/// With [`LabelOptions::warm_start`], a probe first adopts the converged
-/// labels of the engine's tightest feasible probe at a ratio
-/// `φ' >= φ` (same [`LineageKey`]). Labels are anti-monotone in φ —
-/// relaxing the ratio can only lower the fixpoint — so those labels are
-/// `<=` this probe's least fixpoint pointwise, and chaotic iteration
-/// started anywhere below the least fixpoint of a monotone inflationary
-/// operator still converges exactly to it (Knaster–Tarski: every
-/// iterate stays `<=` lfp by induction, and a terminating iterate is a
-/// prefixpoint `<=` lfp, hence equal). Feasibility verdicts and final
-/// labels are therefore identical to a cold start; only the sweep count
-/// shrinks.
+/// Every probe starts cold, at the floor, so its outcome is a function
+/// of (circuit, options, φ) alone — never of which probes ran before it.
+/// Starting from the labels of a feasible probe at a larger φ would be
+/// sound only if labels were anti-monotone in φ. LabelUpdateSYN's labels
+/// are not: a resynthesis that succeeds at φ can fail at φ + 1 (its cut
+/// function and criticalities change), so such a warm TurboSYN probe can
+/// settle above the cold fixpoint, or even be feasible where the cold
+/// probe is not.
 ///
-/// Two special cases of lineage short past warm-starting to an outright
-/// **replay**: a probe at exactly a stored feasible `(key, φ)` returns
-/// the stored labels (they are the fixpoint of a deterministic
-/// computation), and a probe at a stored infeasible `(key, stop, φ)`
-/// returns the stored verdict with its SCC size. Both finish with zero
-/// sweeps and zero cut tests, which is what makes re-running a binary
+/// What stays is an exact memo: a probe at coordinates
+/// `(key, stop, φ)` the engine already settled on this circuit returns
+/// the stored outcome — feasible labels (they *are* the fixpoint of a
+/// deterministic computation) or the infeasible SCC size — with zero
+/// sweeps and zero cut tests. That is what makes re-running a binary
 /// search on a warm engine — the serve daemon's resubmission pattern —
-/// nearly free. Sweep-cap degrades are never recorded as infeasible
-/// marks (they depend on the caller's budget, not the circuit), so a
-/// replayed verdict always matches what a cold ungoverned run decides.
+/// nearly free. Sweep-cap degrades are never stored (they depend on the
+/// caller's budget, not the circuit), so a replayed verdict always
+/// matches what a cold ungoverned run decides.
 pub(crate) fn compute_labels_with(
     c: &Circuit,
     opts: &LabelOptions,
@@ -475,29 +465,27 @@ pub(crate) fn compute_labels_with(
     caches: &SessionCaches,
 ) -> Result<LabelOutcome, Interrupted> {
     caches.bind(c);
+    let key = lineage_key(opts);
+    if let Some(replay) = caches.settled_probe(&key, opts.stop, opts.phi) {
+        // A replayed probe emits no `label.probe` span, which is exactly
+        // what the serve `metrics` cold/warm comparison measures.
+        caches.note_label_stats(replay.stats());
+        return Ok(replay);
+    }
     let outcome = compute_labels_inner(c, opts, gauge, caches)?;
     caches.note_label_stats(outcome.stats());
-    if opts.warm_start {
-        match &outcome {
-            LabelOutcome::Feasible { labels, .. } => {
-                caches.store_lineage(lineage_key(opts), opts.phi, labels);
-            }
-            LabelOutcome::Infeasible { scc_size, .. } => {
-                // Only verdicts that reached their own stopping rule are
-                // replayable: with a `max_sweeps` budget in force the
-                // outcome may be a conservative sweep-cap degrade, which
-                // depends on the caller's budget rather than the circuit.
-                if gauge.budget().max_sweeps.is_none() {
-                    caches.store_infeasible(lineage_key(opts), opts.stop, opts.phi, *scc_size);
-                }
-            }
-        }
+    // Only verdicts that reached their own stopping rule are replayable:
+    // with a `max_sweeps` budget in force an infeasible outcome may be a
+    // conservative sweep-cap degrade, which depends on the caller's
+    // budget rather than the circuit.
+    if outcome.is_feasible() || gauge.budget().max_sweeps.is_none() {
+        caches.settle_probe(key, opts.stop, opts.phi, &outcome);
     }
     Ok(outcome)
 }
 
-/// The label-configuration identity under which converged labels may be
-/// reused across φ probes (see [`LineageKey`] for what is excluded).
+/// The label-configuration half of the probe memo key (see
+/// [`LineageKey`] for what is excluded).
 fn lineage_key(opts: &LabelOptions) -> LineageKey {
     LineageKey {
         k: opts.k,
@@ -538,40 +526,6 @@ fn compute_labels_inner(
     }
 
     let mut stats = LabelStats::default();
-    if opts.warm_start {
-        let key = lineage_key(opts);
-        // Exact-φ replay: a probe that already ran to completion under
-        // this key on this circuit is a deterministic function replay.
-        // The stored labels *are* the fixpoint (and the stored SCC size
-        // *is* the verdict), so the probe finishes with zero sweeps —
-        // this is what makes a resubmitted binary search nearly free.
-        if let Some(prev) = caches.exact_lineage(&key, opts.phi, n) {
-            stats.warm_started_probes += 1;
-            return Ok(LabelOutcome::Feasible {
-                labels: prev,
-                stats,
-            });
-        }
-        if let Some(scc_size) = caches.infeasible_verdict(&key, opts.stop, opts.phi) {
-            stats.warm_started_probes += 1;
-            return Ok(LabelOutcome::Infeasible { stats, scc_size });
-        }
-        if let Some(prev) = caches.lineage_labels(&key, opts.phi, n) {
-            // Adopt the earlier feasible probe's labels as starting lower
-            // bounds (anti-monotone in φ, see the caller's docs). Gates
-            // only: PIs stay 0 and POs carry no label.
-            for v in 0..n {
-                if is_gate[v] {
-                    labels[v] = labels[v].max(prev[v]);
-                }
-            }
-            stats.warm_started_probes += 1;
-        }
-    }
-
-    // Opened *after* the warm-start early returns: a fully replayed probe
-    // emits no `label.probe` span, which is exactly what the serve
-    // `metrics` cold/warm comparison measures.
     let _probe_span = gauge.trace().span("label.probe");
     let cond = condensation(&g);
     let worklist = !opts.full_sweeps;
@@ -1063,5 +1017,36 @@ mod tests {
             last = f;
         }
         assert!(last, "large phi must be feasible");
+
+        // The binary search in `drive` relies on this for TurboSYN too,
+        // whose labels are not anti-monotone in φ: check cold TurboSYN
+        // feasibility on the fast suite rows, at K = 4/5/6 with one wire
+        // and K = 5 with two.
+        let suite = gen::suite();
+        for row in [
+            "bbara", "bbsse", "cse", "dk16", "kirkman", "s420", "s838", "sand",
+        ] {
+            let b = suite.iter().find(|b| b.name == row).expect("suite row");
+            for (k, max_wires) in [(4, 1), (5, 1), (6, 1), (5, 2)] {
+                let c = if b.circuit.is_k_bounded(k) {
+                    b.circuit.clone()
+                } else {
+                    turbosyn_netlist::kbound::decompose_to_k(&b.circuit, k)
+                };
+                let verdicts: Vec<bool> = (1..=8)
+                    .map(|phi| {
+                        let opts = LabelOptions {
+                            max_wires,
+                            ..LabelOptions::turbosyn(k, phi)
+                        };
+                        compute_labels(&c, &opts).is_feasible()
+                    })
+                    .collect();
+                assert!(
+                    verdicts.windows(2).all(|w| !w[0] || w[1]) && verdicts[7],
+                    "{row} K={k} wires={max_wires}: feasibility by phi 1..=8 is {verdicts:?}"
+                );
+            }
+        }
     }
 }

@@ -158,11 +158,12 @@ pub(crate) fn generate_mapping_with(
 
     // --- Label relaxation (the paper's first area technique) ----------
     // A root realized with resynthesis may be re-realized as a single
-    // plain cut at a *relaxed* height: every use of signal (v, w) inside a
-    // consumer's cut tolerates height up to l(consumer) − 1 + φ·w, and PO
-    // uses tolerate anything (pipelining absorbs I/O paths). Raising only
-    // v's own realization height keeps every mapped-edge label constraint
-    // satisfied, so the MDR guarantee is untouched.
+    // plain cut at a *relaxed* height: every use of signal (v, w) read by
+    // a LUT d levels below a consumer's root tolerates height up to
+    // l(consumer) − 1 − d + φ·w, and PO uses tolerate anything
+    // (pipelining absorbs I/O paths). Raising only v's own realization
+    // height keeps every mapped-edge label constraint satisfied, so the
+    // MDR guarantee is untouched.
     if opts.resynthesis && opts.relax {
         // Effective realization height per gate; relaxing a root raises
         // its entry, and later cut-height checks see the raised value, so
@@ -193,13 +194,22 @@ pub(crate) fn generate_mapping_with(
         resyn_roots.sort_unstable();
         for v in resyn_roots {
             // Tightest tolerance over all current uses of v (PO uses are
-            // unconstrained: pipelining absorbs I/O paths).
+            // unconstrained: pipelining absorbs I/O paths). Only a
+            // multi-LUT consumer can read v below its root.
             let budget = uses
                 .get(&v)
                 .map(|sites| {
                     sites
                         .iter()
-                        .map(|&(root, weight)| eff[root] - 1 + opts.phi * weight)
+                        .map(|&(root, weight)| {
+                            let r = &realizations[&root];
+                            let depth = if r.luts.len() > 1 {
+                                read_depth(r, v, weight)
+                            } else {
+                                0
+                            };
+                            eff[root] - 1 - depth + opts.phi * weight
+                        })
                         .min()
                         .unwrap_or(i64::MAX / 4)
                 })
@@ -292,6 +302,32 @@ pub(crate) fn generate_mapping_with(
         out.add_output(c.node(po).name.clone(), Fanin::registered(src, f.weight));
     }
     Ok(out)
+}
+
+/// LUT levels between the root of `r` and the deepest LUT of `r` that
+/// reads `orig` through `weight` registers (the root is level 0).
+fn read_depth(r: &Realization, orig: usize, weight: i64) -> i64 {
+    let read = LutInput::Sequential { orig, weight };
+    r.luts
+        .iter()
+        .enumerate()
+        .filter(|(_, lut)| lut.inputs.contains(&read))
+        .map(|(li, _)| lut_depth(r, li))
+        .max()
+        .unwrap_or(0)
+}
+
+/// LUT levels between LUT `li` of `r` and the root: the longest path
+/// through internal wires, since an internal LUT may feed several others.
+fn lut_depth(r: &Realization, li: usize) -> i64 {
+    let wire = LutInput::Internal(li);
+    r.luts
+        .iter()
+        .enumerate()
+        .filter(|(_, lut)| lut.inputs.contains(&wire))
+        .map(|(consumer, _)| lut_depth(r, consumer) + 1)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -430,6 +466,34 @@ mod tests {
             m.node_ids().any(|id| m.node(id).name.contains("__syn")),
             "loop resynthesis must remain"
         );
+    }
+
+    /// Relaxation budgets are depth-aware: sand at K = 4 with two wires
+    /// has resynthesized consumers that read a relaxable root from a LUT
+    /// below their own root. Budgeting that use as if it entered at the
+    /// root relaxed the input one level too far, and the mapping failed
+    /// verification with MDR 4 at φ = 3.
+    #[test]
+    fn relaxation_respects_the_depth_of_multi_lut_uses() {
+        let suite = gen::suite();
+        let sand = &suite
+            .iter()
+            .find(|b| b.name == "sand")
+            .expect("row")
+            .circuit;
+        let c = if sand.is_k_bounded(4) {
+            sand.clone()
+        } else {
+            turbosyn_netlist::kbound::decompose_to_k(sand, 4)
+        };
+        let opts = LabelOptions {
+            max_wires: 2,
+            ..LabelOptions::turbosyn(4, 3)
+        };
+        let m = map_with(&c, &opts);
+        let mdr = mdr_ratio(&m).expect("cyclic");
+        assert!(mdr.ceil() <= 3, "mapped MDR {mdr} exceeds phi=3");
+        verify_mapping(&c, &m, 4, 3, 64).expect("equivalent");
     }
 
     /// The regression that motivated trace-grounded verification: seed 15

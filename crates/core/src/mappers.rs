@@ -66,10 +66,6 @@ pub struct MapOptions {
     /// comparison — see [`crate::label::LabelOptions::full_sweeps`]).
     /// Reports are bit-identical either way.
     pub full_sweeps: bool,
-    /// Warm-start later φ probes from the converged labels of earlier
-    /// feasible ones (see [`crate::label::LabelOptions::warm_start`]).
-    /// Reports are bit-identical either way.
-    pub warm_start: bool,
     /// Resource budget for the whole run: wall clock, expansion work,
     /// labeling sweeps, and a cancel token.
     /// Defaults to unlimited. On exhaustion the mappers degrade to the
@@ -98,7 +94,6 @@ impl Default for MapOptions {
             verify_cycles: 48,
             jobs: 1,
             full_sweeps: false,
-            warm_start: true,
             budget: Budget::default(),
             trace: turbosyn_trace::TraceSink::disabled(),
         }
@@ -126,7 +121,6 @@ impl MapOptions {
             relax: self.relax,
             jobs: self.jobs,
             full_sweeps: self.full_sweeps,
-            warm_start: self.warm_start,
         }
     }
 
@@ -196,12 +190,12 @@ pub struct MapReport {
 /// Shared driver: binary search the minimum feasible integer φ, map at
 /// it, clean up, verify, retime — all under the caller's [`Gauge`].
 ///
-/// Each feasible probe leaves its converged labels in the session's
-/// probe-lineage slot; because the search only moves to *smaller* φ
-/// after a feasible probe, every later probe can warm-start from them
-/// (labels are anti-monotone in φ), collapsing most of its sweeps. The
-/// lineage is keyed by the label configuration — the TurboSYN prepass
-/// (resynthesis off) can never leak labels into the resynthesis search.
+/// Every probe starts cold, so its verdict depends on (circuit,
+/// options, φ) alone and not on the search path; the binary search
+/// relies on feasibility being monotone in φ. Each settled probe is
+/// memoized in the session caches, so a resubmitted search on the same
+/// engine replays its probes without sweeping (see
+/// [`crate::label::compute_labels_with`]).
 ///
 /// Degradation protocol: a budget interruption mid-search keeps the best
 /// already-proven-feasible φ and reports what was abandoned; with no

@@ -21,7 +21,7 @@ use turbosyn_netlist::blif;
 /// Schema version stamped into every report object.
 ///
 /// Schema 2 removed the `stats` work counters from the canonical
-/// report: with cross-run warm starts and the delta-driven worklist the
+/// report: with the cross-run probe memo and the delta-driven worklist the
 /// amount of *work* depends on engine history (a warm engine sweeps
 /// less), while the canonical report must stay a pure function of the
 /// input — the serve daemon's warm responses are byte-compared against
@@ -65,7 +65,7 @@ pub fn report_to_json(report: &MapReport) -> Json {
 /// Encodes the label-computation work counters.
 ///
 /// Deliberately *not* part of [`report_to_json`]: work depends on the
-/// engine's cache/lineage history, so it travels in explicitly
+/// engine's cache and probe-memo history, so it travels in explicitly
 /// non-deterministic sections (alongside timing and cache deltas).
 #[must_use]
 pub fn label_stats_to_json(stats: &LabelStats) -> Json {

@@ -1,5 +1,5 @@
 //! Cache-correctness contract for [`Engine`]: mapping the same circuit
-//! twice through one engine replays every probe from the lineage and
+//! twice through one engine replays every probe from the probe memo and
 //! hits the decomposition cache on the second pass, and still produces
 //! an identical report.
 
@@ -50,7 +50,7 @@ fn second_run_hits_caches_and_matches_first() {
     assert!(work_first.sweeps > 0, "first run sweeps: {work_first:?}");
     assert_eq!(
         work_second.sweeps, 0,
-        "second run must replay every probe from the lineage: {work_second:?}"
+        "second run must replay every probe from the probe memo: {work_second:?}"
     );
 }
 
@@ -75,7 +75,7 @@ fn engine_matches_stateless_mappers() {
 
 #[test]
 fn structural_change_flushes_lineage_but_stays_correct() {
-    // Alternating circuits through one engine: the probe lineage is
+    // Alternating circuits through one engine: the probe memo is
     // keyed to a structural fingerprint and must never leak labels from
     // one circuit into another.
     let a = gen::figure1();

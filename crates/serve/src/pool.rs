@@ -2,13 +2,13 @@
 //! requests.
 //!
 //! Each worker owns one [`Engine`] for its whole lifetime, so the probe
-//! lineage and decomposition cache built by one request are live for
+//! memo and decomposition cache built by one request are live for
 //! the next. Jobs are routed by the *circuit fingerprint*
 //! (FNV-1a over the BLIF text): the same circuit always lands on the
 //! same worker, which guarantees the warm-cache path on resubmission
 //! and — because one engine is only ever driven by its one worker
 //! thread — serializes cache binds per engine, so two different
-//! circuits can never interleave on shared lineage state.
+//! circuits can never interleave on shared probe-memo state.
 //!
 //! Per-request cache deltas are exact for the same reason: the worker
 //! snapshots its engine's counters before and after the run with no
@@ -51,7 +51,7 @@ pub struct MapOutcome {
     /// Cache counter increments attributable to this job alone.
     pub cache_delta: CacheStats,
     /// Label-work counter increments attributable to this job alone
-    /// (sweeps, cut tests, worklist skips, warm starts, ...).
+    /// (sweeps, cut tests, worklist skips, replayed probes, ...).
     pub work_delta: LabelStats,
     /// Time spent admitted-but-waiting, in milliseconds.
     pub queue_ms: u64,
@@ -327,13 +327,13 @@ mod tests {
             work.push(outcome.work_delta);
         }
         assert_eq!(workers[0], workers[1], "same circuit pins to one worker");
-        // The pinned worker's engine keeps its probe lineage, so the
+        // The pinned worker's engine keeps its probe memo, so the
         // resubmission replays every probe without a single sweep.
         assert!(work[0].sweeps > 0, "cold run sweeps: {:?}", work[0]);
         assert_eq!(work[1].sweeps, 0, "warm run replays: {:?}", work[1]);
         assert!(
             work[1].warm_started_probes > 0 && work[1].cut_tests < work[0].cut_tests,
-            "second run warm-starts its probes: {:?} vs {:?}",
+            "second run replays its probes: {:?} vs {:?}",
             work[1],
             work[0]
         );

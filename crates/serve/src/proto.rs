@@ -18,10 +18,10 @@
 //! carries the canonical [`MapReport` JSON](turbosyn::report_json)
 //! under `"report"` — byte-identical to the one-shot CLI's
 //! `--emit-json` output — plus per-request cache deltas (`"cache"`),
-//! label-work deltas (`"work"`: sweeps, cut tests, worklist skips, warm
-//! starts), and a timing breakdown (`"timing"`), all deliberately
+//! label-work deltas (`"work"`: sweeps, cut tests, worklist skips,
+//! replayed probes), and a timing breakdown (`"timing"`), all deliberately
 //! *outside* the report object, because timing and work depend on the
-//! engine's cache/lineage history while the report must stay a pure
+//! engine's cache and probe-memo history while the report must stay a pure
 //! function of the input.
 //!
 //! Hostile input never panics the reader: oversized lines, truncated

@@ -35,7 +35,7 @@ fn start(config: ServeConfig) -> (Server, String) {
 fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     let (server, addr) = start(ServeConfig::default());
     // figure1 resynthesizes, so its cold map runs label sweeps at every
-    // probe the warm resubmission then replays from the lineage.
+    // probe the warm resubmission then replays from the probe memo.
     let text = blif::write(&figure1());
 
     // The ground truth: the same engine path the one-shot CLI drives
@@ -66,7 +66,7 @@ fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     assert!(cold.work.sweeps > 0, "cold run sweeps: {:?}", cold.work);
     assert_eq!(
         warm.work.sweeps, 0,
-        "warm run replays every probe from the lineage: {:?}",
+        "warm run replays every probe from the probe memo: {:?}",
         warm.work
     );
 
@@ -300,14 +300,14 @@ fn metrics_shows_lineage_replay_and_histograms_stay_consistent() {
     // Metrics are cumulative per worker, so the warm job's own probe
     // spans are the increment between the two snapshots. Resubmitting
     // the identical circuit replays every probe from the engine's
-    // lineage — each replayed probe returns before the `label.probe`
+    // probe memo — each replayed probe returns before the `label.probe`
     // span opens, so the increment collapses.
     let cold_probes = phase_count(&cold, "label.probe");
     let warm_probes = phase_count(&warm, "label.probe") - cold_probes;
     assert!(cold_probes > 0, "cold run records label.probe spans");
     assert!(
         warm_probes < cold_probes,
-        "lineage replay must suppress label.probe spans on resubmission \
+        "probe replay must suppress label.probe spans on resubmission \
          (cold {cold_probes}, warm increment {warm_probes})"
     );
 

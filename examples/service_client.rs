@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Submit the paper's Figure 1 circuit twice. The fingerprint router
     // pins both requests to the same worker, so the second run replays
-    // every φ probe from the lineage the first left behind: no sweeps.
+    // every φ probe from the probe memo the first left behind: no sweeps.
     let text = blif::write(&gen::figure1());
     for round in ["cold", "warm"] {
         let response = client.map_blif(&text)?;

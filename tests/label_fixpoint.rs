@@ -2,11 +2,12 @@
 //!
 //! The worklist rewrite promises *bit-identical* results, not merely
 //! equivalent ones: skipping a quiescent candidate, parallelizing the
-//! sweep, or warm-starting a probe from an earlier feasible one must
-//! all converge to the exact same least fixpoint the legacy full-sweep
-//! engine computes (see the monotone-iteration argument in
+//! sweep, or replaying a probe an engine already settled must all end
+//! at the exact same least fixpoint the legacy full-sweep engine
+//! computes from the floor (see the monotone-iteration argument in
 //! `crates/core/src/label.rs` and DESIGN.md). These tests pin that
-//! contract on seeded generator circuits across K and `jobs`, and pin
+//! contract on seeded generator circuits across K and `jobs`, pin that
+//! a probe's outcome does not depend on the probes run before it, and pin
 //! the canonical report JSON — the serve daemon byte-compares warm
 //! responses against cold CLI output, so any drift here is a protocol
 //! break, not just a perf bug.
@@ -63,26 +64,15 @@ fn worklist_labels_match_full_sweeps_across_k_and_jobs() {
                     } else {
                         LabelOptions::turbomap(k, phi)
                     };
-                    // Warm starts are exercised separately; here every
-                    // variant must be cold so the comparison isolates
-                    // the worklist itself.
                     let legacy = compute_labels(
                         &c,
                         &LabelOptions {
                             full_sweeps: true,
-                            warm_start: false,
                             ..base
                         },
                     );
                     for jobs in [1usize, 4] {
-                        let delta = compute_labels(
-                            &c,
-                            &LabelOptions {
-                                jobs,
-                                warm_start: false,
-                                ..base
-                            },
-                        );
+                        let delta = compute_labels(&c, &LabelOptions { jobs, ..base });
                         assert_same_outcome(
                             &delta,
                             &legacy,
@@ -124,7 +114,6 @@ fn worklist_skips_engage_at_suite_scale() {
         &b.circuit,
         &MapOptions {
             full_sweeps: true,
-            warm_start: false,
             ..MapOptions::default()
         },
     )
@@ -147,9 +136,9 @@ fn worklist_skips_engage_at_suite_scale() {
 
 #[test]
 fn exact_phi_probes_replay_with_zero_sweeps() {
-    // Lineage is not only a warm start: re-probing an exact (key, φ)
-    // the engine already settled — feasible or infeasible — replays the
-    // stored verdict without a single sweep. This is the contract the
+    // Re-probing an exact (key, stop, φ) the engine already settled —
+    // feasible or infeasible — replays the stored verdict without a
+    // single sweep. This is the contract the
     // serve daemon's resubmission path and the probe_ladder bench lean
     // on.
     for (name, c) in circuits() {
@@ -170,7 +159,6 @@ fn exact_phi_probes_replay_with_zero_sweeps() {
                 &c,
                 &LabelOptions {
                     full_sweeps: true,
-                    warm_start: false,
                     ..opts
                 },
             );
@@ -183,38 +171,56 @@ fn exact_phi_probes_replay_with_zero_sweeps() {
     }
 }
 
+/// The seeded circuits plus suite rows whose TurboSYN labels are not
+/// anti-monotone in φ: sand (whose φ = 3 verdict a warm start from
+/// φ = 4 used to flip) and two fast FSM rows.
+fn search_order_circuits() -> Vec<(&'static str, Circuit)> {
+    let suite = gen::suite();
+    let mut set = circuits();
+    for row in ["sand", "bbara", "dk16"] {
+        let b = suite.iter().find(|b| b.name == row).expect("suite row");
+        set.push((row, b.circuit.clone()));
+    }
+    set
+}
+
 #[test]
-fn warm_started_probe_ladder_matches_cold_fixpoints() {
-    for (name, c) in circuits() {
+fn probe_outcomes_do_not_depend_on_search_order() {
+    // One engine walks the φ ladder downward, as the binary search in
+    // `drive()` does after feasible probes, and then back up. Every
+    // outcome must be the cold fixpoint of a fresh computation at that φ:
+    // what the engine settled earlier may be replayed, never used as a
+    // starting point.
+    for (name, c) in search_order_circuits() {
+        let c = if c.is_k_bounded(5) {
+            c
+        } else {
+            turbosyn_netlist::kbound::decompose_to_k(&c, 5)
+        };
         for resynthesis in [false, true] {
-            // One engine walks the φ ladder downward, exactly like the
-            // binary search in `drive()`: every feasible probe leaves
-            // its labels for the next, smaller φ.
-            let engine = Engine::new();
-            for phi in (1..=4i64).rev() {
-                let base = if resynthesis {
-                    LabelOptions::turbosyn(4, phi)
+            let opts = |phi| {
+                if resynthesis {
+                    LabelOptions::turbosyn(5, phi)
                 } else {
-                    LabelOptions::turbomap(4, phi)
-                };
-                let warm = engine.compute_labels(&c, &base);
-                let cold = compute_labels(
-                    &c,
-                    &LabelOptions {
-                        full_sweeps: true,
-                        warm_start: false,
-                        ..base
-                    },
-                );
+                    LabelOptions::turbomap(5, phi)
+                }
+            };
+            let cold: Vec<LabelOutcome> = (1..=5i64)
+                .map(|phi| compute_labels(&c, &opts(phi)))
+                .collect();
+            let engine = Engine::new();
+            for phi in (1..=5i64).rev().chain(1..=5) {
+                let got = engine.compute_labels(&c, &opts(phi));
                 assert_same_outcome(
-                    &warm,
-                    &cold,
-                    &format!("{name} resyn={resynthesis} phi={phi} (warm vs cold)"),
+                    &got,
+                    &cold[(phi - 1) as usize],
+                    &format!("{name} resyn={resynthesis} phi={phi} (engine vs fresh)"),
                 );
             }
-            assert!(
-                engine.label_stats().warm_started_probes > 0,
-                "no probe warm-started on {name} resyn={resynthesis} — the lineage slot is dead"
+            assert_eq!(
+                engine.label_stats().warm_started_probes,
+                5,
+                "the upward walk replays every settled probe: {name} resyn={resynthesis}"
             );
         }
     }
@@ -229,7 +235,6 @@ fn n_squared_stop_rule_agrees_with_worklist_too() {
         for phi in 1..=2i64 {
             let base = LabelOptions {
                 stop: StopRule::NSquared,
-                warm_start: false,
                 ..LabelOptions::turbomap(4, phi)
             };
             let delta = compute_labels(&c, &base);
@@ -256,7 +261,6 @@ fn report_json_bytes_are_engine_invariant() {
             },
             MapOptions {
                 full_sweeps: true,
-                warm_start: false,
                 ..MapOptions::default()
             },
         ];

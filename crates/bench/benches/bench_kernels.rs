@@ -1,6 +1,6 @@
 //! Benchmarks of the algorithmic kernels: label computation (PLD vs n²
 //! on an infeasible probe), the exact MDR ratio, min-period retiming,
-//! and BDD functional decomposition.
+//! BDD functional decomposition, and decoding a service map frame.
 //!
 //! Hermetic harness (no criterion): each kernel runs a warmup pass and
 //! then a fixed number of timed iterations; the median per-iteration
@@ -13,7 +13,8 @@ use turbosyn::StopRule;
 use turbosyn_bdd::decompose::{column_multiplicity, decompose};
 use turbosyn_bdd::Manager;
 use turbosyn_graph::cycle_ratio::max_cycle_ratio;
-use turbosyn_netlist::gen;
+use turbosyn_json::Json;
+use turbosyn_netlist::{blif, gen};
 use turbosyn_retime::{min_period_retiming, retime_with_pipelining};
 
 /// Times `f` over `iters` iterations (after one warmup) and prints the
@@ -137,9 +138,38 @@ fn bench_decomposition() {
     });
 }
 
+/// Decodes `turbosyn-serve` map frames whose inline BLIF is 16, 256
+/// and 4096 KiB (s1423's BLIF repeated to size). Decode time should
+/// grow linearly with the frame, i.e. ×16 per step.
+fn bench_json_frames() {
+    let s1423 = gen::suite()
+        .into_iter()
+        .find(|b| b.name == "s1423")
+        .expect("suite row");
+    let text = blif::write(&s1423.circuit);
+    for kib in [16usize, 256, 4096] {
+        let mut design = String::with_capacity(kib * 1024 + text.len());
+        while design.len() < kib * 1024 {
+            design.push_str(&text);
+        }
+        design.truncate(kib * 1024);
+        let frame = Json::obj(vec![
+            ("type", Json::from("map")),
+            ("id", Json::from("r1")),
+            ("blif", Json::from(design)),
+            ("k", Json::from(5u64)),
+        ])
+        .write();
+        bench(&format!("json/parse_map_frame/{kib}KiB"), 10, || {
+            black_box(Json::parse(black_box(&frame)).expect("valid frame"));
+        });
+    }
+}
+
 fn main() {
     bench_labels();
     bench_mdr();
     bench_retiming();
     bench_decomposition();
+    bench_json_frames();
 }

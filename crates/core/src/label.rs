@@ -532,6 +532,9 @@ fn compute_labels_inner(
     // Member-local index of each node (u32::MAX = not in the current
     // SCC); allocated once, reset per SCC.
     let mut local = vec![u32::MAX; n];
+    // The serial sweep path's cut-test buffers, kept for the whole probe
+    // so they do not regrow on every sweep.
+    let mut scratch = Scratch::default();
 
     for sc in 0..cond.count() {
         let members: Vec<usize> = cond.members[sc]
@@ -641,7 +644,16 @@ fn compute_labels_inner(
             if tasks.is_empty() {
                 break; // converged
             }
-            let results = run_label_tasks(c, opts, &labels, &tasks, gauge, caches, worklist);
+            let results = run_label_tasks(
+                c,
+                opts,
+                &labels,
+                &tasks,
+                gauge,
+                caches,
+                worklist,
+                &mut scratch,
+            );
             let mut first_err = None;
             for r in &results {
                 if let Some(Err(i)) = r {
@@ -764,8 +776,9 @@ type TaskResult = Result<(i64, LabelStats, Vec<usize>), Interrupted>;
 /// filtered pending tasks — not the SCC's node range, so workers stay
 /// evenly loaded even when most members are quiescent. Tasks are split
 /// into contiguous chunks (one per worker), each worker owns a private
-/// [`Scratch`], and results land in per-task slots — so the caller
-/// merges them in deterministic task order regardless of scheduling.
+/// [`Scratch`] (the serial path uses the caller's `scratch`), and
+/// results land in per-task slots — so the caller merges them in
+/// deterministic task order regardless of scheduling.
 #[allow(clippy::too_many_arguments)]
 fn run_label_tasks(
     c: &Circuit,
@@ -775,11 +788,11 @@ fn run_label_tasks(
     gauge: &Gauge,
     caches: &SessionCaches,
     collect_deps: bool,
+    scratch: &mut Scratch,
 ) -> Vec<Option<TaskResult>> {
     let jobs = opts.jobs.max(1).min(tasks.len());
     let mut results: Vec<Option<TaskResult>> = vec![None; tasks.len()];
     if jobs <= 1 {
-        let mut scratch = Scratch::default();
         for (&(v, big_l), slot) in tasks.iter().zip(results.iter_mut()) {
             let r = run_one_task(
                 c,
@@ -789,7 +802,7 @@ fn run_label_tasks(
                 opts,
                 gauge,
                 caches,
-                &mut scratch,
+                scratch,
                 collect_deps,
             );
             let stop = r.is_err();

@@ -22,6 +22,9 @@
 //! * **Hostile-input safe.** Recursion depth is capped, escapes are
 //!   validated (including `\uXXXX` surrogate pairs), and every failure
 //!   is a typed [`JsonError`] with a byte position — never a panic.
+//! * **Linear-time decode.** Parsing visits each input byte a bounded
+//!   number of times: a string's plain runs are copied whole, so a
+//!   service frame decodes in time linear in its size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,6 +89,7 @@ impl Json {
     /// nesting beyond [`MAX_DEPTH`], or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -290,6 +294,7 @@ fn quote_into(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -486,13 +491,17 @@ impl Parser<'_> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 scalar. The input is a
-                    // `&str`, so boundaries are guaranteed valid.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("input was a valid &str");
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // quote, backslash, control byte or end of input in
+                    // one go. Every stop byte is ASCII, so the run starts
+                    // and ends on char boundaries of the `&str` input and
+                    // each input byte is visited once.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -667,6 +676,118 @@ mod tests {
         let err = Json::parse("[1, x]").expect_err("bad value");
         assert_eq!(err.pos, 4);
         assert!(err.to_string().starts_with("byte 4:"));
+    }
+
+    /// Parses `text` as one string value and returns its payload.
+    fn parse_str(text: &str) -> String {
+        match Json::parse(text) {
+            Ok(Json::Str(s)) => s,
+            other => panic!("{text:?} should parse as a string, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn runs_mixed_with_multibyte_text_and_escapes_decode_exactly() {
+        let run = "abcdefghij".repeat(50);
+        let cases: Vec<(String, String)> = vec![
+            // Multi-byte scalars as the first and the last character.
+            (format!("\"é{run}😀\""), format!("é{run}😀")),
+            (format!("\"😀{run}é\""), format!("😀{run}é")),
+            // Escapes as the first and the last character of a run.
+            (format!("\"\\n{run}\\t\""), format!("\n{run}\t")),
+            // Every escape, back to back, between two runs.
+            (
+                format!("\"{run}\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0041{run}\""),
+                format!("{run}\"\\/\u{8}\u{c}\n\r\tA{run}"),
+            ),
+            // Surrogate pairs adjacent to runs and to raw 4-byte text.
+            (
+                format!("\"{run}\\ud83d\\ude00😀\\ud83d\\ude00{run}\""),
+                format!("{run}😀😀😀{run}"),
+            ),
+            // Escaped multi-byte scalars next to their raw forms.
+            (format!("\"é\\u00e9é{run}\\u00e9\""), format!("ééé{run}é")),
+            // Empty string and a string of escapes only.
+            ("\"\"".to_string(), String::new()),
+            ("\"\\\\\\\\\"".to_string(), "\\\\".to_string()),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse_str(&text), want, "decoding {text:?}");
+            // The writer's form decodes to the same payload too.
+            assert_eq!(parse_str(&quote(&want)), want);
+        }
+        // Runs inside containers and keys stop at the right quote.
+        let v = Json::parse(&format!("{{\"k{run}é\":[\"{run}\",\"x\\\"y\"]}}")).expect("parses");
+        assert_eq!(
+            v,
+            Json::Obj(vec![(
+                format!("k{run}é"),
+                Json::Arr(vec![Json::Str(run.clone()), Json::Str("x\"y".into())])
+            )])
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_their_positions_and_messages() {
+        let run = "plain text ".repeat(20);
+        let err = |text: &str| Json::parse(text).expect_err(text);
+        // Unterminated strings are reported at the string start, just
+        // past the opening quote, wherever the input runs out.
+        let e = err(&format!("[1, \"{run}é"));
+        assert_eq!((e.pos, e.msg.as_str()), (5, "unterminated string"));
+        let e = err(&format!("\"{run}\\n"));
+        assert_eq!((e.pos, e.msg.as_str()), (1, "unterminated string"));
+        // A raw control byte mid-run is reported where it sits.
+        let text = format!("\"{run}\u{1}{run}\"");
+        let e = err(&text);
+        assert_eq!(
+            (e.pos, e.msg.as_str()),
+            (1 + run.len(), "raw control character in string")
+        );
+        // A bad escape right after a run is reported at the escaped byte.
+        let e = err(&format!("\"{run}é\\q\""));
+        assert_eq!(
+            (e.pos, e.msg.as_str()),
+            (1 + run.len() + 2 + 1, "unsupported escape \\'q'")
+        );
+        // A backslash that ends the input.
+        let e = err(&format!("\"{run}\\"));
+        assert_eq!(
+            (e.pos, e.msg.as_str()),
+            (2 + run.len(), "unsupported escape \\end of input")
+        );
+        // A bad \u escape right after a run.
+        let e = err(&format!("\"{run}\\u12g4\""));
+        assert_eq!(
+            (e.pos, e.msg.as_str()),
+            (
+                1 + run.len() + 4,
+                "expected a hex digit in \\u escape, found 'g'"
+            )
+        );
+    }
+
+    #[test]
+    fn one_mebibyte_string_round_trips() {
+        let mut s = String::with_capacity(1 << 20);
+        let mut i = 0u32;
+        while s.len() < 1 << 20 {
+            // Mostly ASCII runs, with every few hundred bytes a
+            // character the writer escapes or a multi-byte scalar.
+            s.push_str(".names a b y\n11 1\n");
+            match i % 5 {
+                0 => s.push('"'),
+                1 => s.push('\\'),
+                2 => s.push('é'),
+                3 => s.push('😀'),
+                _ => s.push('\u{1f}'),
+            }
+            i += 1;
+        }
+        let v = Json::Str(s);
+        let text = v.write();
+        assert!(text.len() > 1 << 20);
+        assert_eq!(Json::parse(&text).expect("parses"), v);
     }
 
     #[test]

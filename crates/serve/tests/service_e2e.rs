@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 use turbosyn::{report_to_json, Engine, MapOptions};
 use turbosyn_json::Json;
-use turbosyn_netlist::gen::{figure1, iscas_like, pipeline, IscasConfig};
+use turbosyn_netlist::gen::{self, figure1, iscas_like, pipeline, IscasConfig};
 use turbosyn_netlist::{blif, Circuit};
 use turbosyn_serve::proto::MapRequest;
 use turbosyn_serve::{Client, ClientError, ServeConfig, Server};
@@ -69,6 +69,39 @@ fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
         "warm run replays every probe from the probe memo: {:?}",
         warm.work
     );
+
+    client.shutdown().expect("shutdown ack");
+    server.wait();
+}
+
+#[test]
+fn large_frames_map_cold_then_warm_byte_identically() {
+    let (server, addr) = start(ServeConfig::default());
+    // s1423's inline BLIF (~43 KB) and its report's mapped netlists make
+    // frames far larger than the toy circuits above; both directions
+    // go through the JSON string decoder.
+    let s1423 = gen::suite()
+        .into_iter()
+        .find(|b| b.name == "s1423")
+        .expect("suite row");
+    let text = blif::write(&s1423.circuit);
+    assert!(text.len() > 40_000, "frame too small: {} bytes", text.len());
+
+    let reference = {
+        let engine = Engine::new();
+        let report = engine
+            .turbosyn(&blif::parse(&text).expect("parses"), &MapOptions::default())
+            .expect("maps");
+        report_to_json(&report).write()
+    };
+
+    let mut client = Client::connect(&addr).expect("connects");
+    let cold = client.map_blif(&text).expect("cold map");
+    let warm = client.map_blif(&text).expect("warm map");
+    assert_eq!(cold.report.write(), reference, "cold report");
+    assert_eq!(warm.report.write(), reference, "warm report");
+    assert!(cold.work.sweeps > 0, "cold run sweeps: {:?}", cold.work);
+    assert_eq!(warm.work.sweeps, 0, "warm run replays: {:?}", warm.work);
 
     client.shutdown().expect("shutdown ack");
     server.wait();

@@ -1,6 +1,7 @@
 //! Benchmarks of the algorithmic kernels: label computation (PLD vs n²
-//! on an infeasible probe), the exact MDR ratio, min-period retiming,
-//! BDD functional decomposition, and decoding a service map frame.
+//! on an infeasible probe), one TurboSYN probe dominated by the
+//! resynthesis descent, the exact MDR ratio, min-period retiming, BDD
+//! functional decomposition, and decoding a service map frame.
 //!
 //! Hermetic harness (no criterion): each kernel runs a warmup pass and
 //! then a fixed number of timed iterations; the median per-iteration
@@ -14,6 +15,7 @@ use turbosyn_bdd::decompose::{column_multiplicity, decompose};
 use turbosyn_bdd::Manager;
 use turbosyn_graph::cycle_ratio::max_cycle_ratio;
 use turbosyn_json::Json;
+use turbosyn_netlist::kbound::decompose_to_k;
 use turbosyn_netlist::{blif, gen};
 use turbosyn_retime::{min_period_retiming, retime_with_pipelining};
 
@@ -68,6 +70,36 @@ fn bench_labels() {
     bench("labels_infeasible_probe/feasible_turbosyn", 10, || {
         black_box(compute_labels(black_box(&c), &ts));
     });
+}
+
+/// One cold TurboSYN probe on cse at K = 5, at the largest infeasible φ
+/// (the probe of the binary search that does most of the descent's
+/// work: min-cuts below `L(v)` and sequential decomposition). Prints
+/// the probe's descent counters too.
+fn bench_descent() {
+    let cse = gen::suite()
+        .into_iter()
+        .find(|b| b.name == "cse")
+        .expect("suite row");
+    let c = if cse.circuit.is_k_bounded(5) {
+        cse.circuit
+    } else {
+        decompose_to_k(&cse.circuit, 5)
+    };
+    let mut phi = 1;
+    while !compute_labels(&c, &LabelOptions::turbosyn(5, phi)).is_feasible() {
+        phi += 1;
+    }
+    let opts = LabelOptions::turbosyn(5, (phi - 1).max(1));
+    bench("descent/cse_k5", 10, || {
+        black_box(compute_labels(black_box(&c), &opts));
+    });
+    let stats = compute_labels(&c, &opts).stats();
+    println!(
+        "descent/cse_k5: phi {}, {} resynthesis attempts, {} min-cuts below L(v), \
+         {} augmenting paths",
+        opts.phi, stats.resyn_attempts, stats.descent_cuts, stats.descent_augmentations
+    );
 }
 
 fn bench_mdr() {
@@ -168,6 +200,7 @@ fn bench_json_frames() {
 
 fn main() {
     bench_labels();
+    bench_descent();
     bench_mdr();
     bench_retiming();
     bench_decomposition();

@@ -356,6 +356,10 @@ fn main() -> ExitCode {
             report.stats.warm_started_probes,
             report.stats.pld_checks_skipped
         );
+        eprintln!(
+            "resynthesis descent: {} min-cuts below L(v), {} augmenting paths",
+            report.stats.descent_cuts, report.stats.descent_augmentations
+        );
     }
     let degraded = report.degradation.is_some();
     if let Some(d) = &report.degradation {

@@ -16,6 +16,26 @@
 //! [`MapOptions`](crate::MapOptions)); found cuts are always valid, and
 //! tests cross-check label optimality against brute force on small
 //! circuits.
+//!
+//! Two pieces of the per-worker [`Scratch`] make TurboSYN's resynthesis
+//! descent (cuts of height `L(v) − h` for `h = 0, 1, …`) cheap:
+//!
+//! * **Cone memo.** The function of the cone between a root and a cut is
+//!   fixed by the circuit, the root and the cut's ordered `(orig, weight)`
+//!   pairs, so [`ConeMemo`] keeps each simulated table under that key for
+//!   the life of the scratch (one label probe, or one mapping
+//!   generation). Later sweeps of the probe re-derive the same cuts and
+//!   read their tables back instead of re-simulating the cone.
+//! * **Carried flow.** Every cut of height `<= H − 1` is also a cut of
+//!   height `<= H`, so the maximum flow found on `E_v` at height `H`
+//!   stays a feasible flow at `H − 1` once its paths are mapped over.
+//!   [`Scratch::expand_below`] keeps the expansion and flow of height `H`;
+//!   [`Scratch::carry_flow`] maps each unit path into the new expansion
+//!   by `(orig, weight)` (a fanin arc keeps its position among its
+//!   consumer's fanins), extends it back to a new leaf or drops it, and
+//!   the cut test then only augments from there. The residual-reachable
+//!   minimum cut is the same for every maximum flow, so the cut is
+//!   exactly the one a fresh flow finds.
 
 use std::collections::{HashMap, VecDeque};
 use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
@@ -379,6 +399,45 @@ struct ConeGate {
     table: Vec<u64>,
 }
 
+/// Table words a [`ConeMemo`] holds before it starts over (8 MiB).
+const CONE_MEMO_WORDS: usize = 1 << 20;
+
+/// Cone functions already simulated, keyed by the root and the cut's
+/// ordered `(orig, weight)` pairs. The key is exact: the interior of a
+/// cut's cone is every replica between the cut and the root, and each
+/// replica's fanins are fixed by the circuit, so two expansions of one
+/// circuit that share the root and the cut share the function, whatever
+/// heights or labels built them. A memo therefore must not outlive its
+/// circuit; [`Scratch`] holds one per label probe or mapping generation.
+#[derive(Debug, Default)]
+pub(crate) struct ConeMemo {
+    tables: HashMap<Box<[ExpNode]>, TruthTable>,
+    /// The lookup key under construction: the root, then the cut.
+    key: Vec<ExpNode>,
+    /// Table words held, to bound the memo's memory.
+    words: usize,
+}
+
+impl ConeMemo {
+    /// [`Expansion::cone_tt`] of `cut` on `exp`, simulated only the first
+    /// time this memo sees the root and cut.
+    pub fn cone_tt(&mut self, exp: &Expansion, c: &Circuit, cut: &[usize]) -> &TruthTable {
+        self.key.clear();
+        self.key.push(exp.nodes[0]);
+        self.key.extend(cut.iter().map(|&xi| exp.nodes[xi]));
+        if !self.tables.contains_key(self.key.as_slice()) {
+            let tt = exp.cone_tt(c, cut);
+            if self.words + tt.bits().len() > CONE_MEMO_WORDS {
+                self.tables.clear();
+                self.words = 0;
+            }
+            self.words += tt.bits().len();
+            self.tables.insert(self.key.as_slice().into(), tt);
+        }
+        &self.tables[self.key.as_slice()]
+    }
+}
+
 /// Predecessor of a BFS state reached straight from the super-source.
 const FROM_SOURCE: u32 = u32::MAX;
 /// Predecessor of a BFS state reached over its own node's in → out arc.
@@ -398,7 +457,8 @@ const OVER_NODE: u32 = u32::MAX - 1;
 /// The cut returned is the set of nodes whose in-half, but not
 /// out-half, is reachable from the super-source in the residual graph of
 /// a maximum flow. That set is the same for every maximum flow, so the
-/// order augmenting paths are found in does not affect it.
+/// order augmenting paths are found in, and the feasible flow they start
+/// from (see [`CutFlow::carry`]), do not affect it.
 #[derive(Debug, Default)]
 pub(crate) struct CutFlow {
     /// Augmenting paths found on the current expansion.
@@ -422,6 +482,26 @@ pub(crate) struct CutFlow {
     pred_out: Vec<u32>,
     /// BFS queue of halves: `2x` is `x`'s in-half, `2x + 1` its out-half.
     queue: Vec<u32>,
+    /// [`CutFlow::carry`]'s mapped paths: the fanin arcs of every path,
+    /// back to back, and the paths themselves.
+    carried_arcs: Vec<u32>,
+    carried: Vec<CarriedPath>,
+    /// [`CutFlow::carry`]'s extension search: replicas with the next
+    /// fanin arc to try.
+    stack: Vec<(u32, u32)>,
+}
+
+/// One unit path of [`CutFlow::carry`], mapped into the new expansion:
+/// `arcs` (a range of `carried_arcs`) run from `tail` to the root, and
+/// `extend` says whether `tail` is expanded there, so that the path
+/// still needs extending back to a leaf.
+#[derive(Debug, Clone, Copy)]
+struct CarriedPath {
+    arcs: (u32, u32),
+    tail: u32,
+    extend: bool,
+    /// False once the extension failed: the path is dropped.
+    kept: bool,
 }
 
 impl CutFlow {
@@ -485,15 +565,147 @@ impl CutFlow {
         None
     }
 
-    /// One BFS from the super-source; on reaching the root's out-half
-    /// (the sink), pushes one unit along the path found and returns true.
-    fn augment(&mut self, exp: &Expansion) -> bool {
+    /// Starts this flow, just [reset](CutFlow::reset) on `exp`, from the
+    /// maximum flow `above` found on `above_exp`: the expansion of the
+    /// same root under the same labels, φ and limits at a greater
+    /// height. Every replica that may be cut at the lower height could be
+    /// cut at the greater one, so `above` sends at most one unit through
+    /// it, and its unit paths stay disjoint where they must.
+    ///
+    /// Each unit path is walked from the root down the arcs that carry
+    /// it, and mapped into `exp` arc by arc: both expansions list a
+    /// replica's fanins in circuit order, so an arc keeps its position
+    /// and each step lands on the replica of the same `(orig, weight)`.
+    /// A path that reaches a leaf of `exp` starts there. One that ends
+    /// at a replica `exp` expanded is extended back, over replicas with
+    /// room left, to a leaf of `exp`; once every path is placed, those
+    /// that found no such leaf are dropped. Consumes `above`'s arc flows.
+    pub fn carry(&mut self, exp: &Expansion, above: &mut CutFlow, above_exp: &Expansion) {
+        self.carried.clear();
+        self.carried_arcs.clear();
+        for _ in 0..above.flow {
+            // `x` walks `above_exp`, `y` its image in `exp`.
+            let (mut x, mut y) = (0usize, 0usize);
+            let first = self.carried_arcs.len() as u32;
+            let extend = loop {
+                if !exp.expanded[y] {
+                    break false;
+                }
+                if !above_exp.expanded[x] {
+                    break true;
+                }
+                let (start, len) = above_exp.fanin_spans[x];
+                let arc = (start..start + len)
+                    .find(|&a| above.along[a as usize] > 0)
+                    .expect("a maximum flow is conserved at every replica");
+                above.along[arc as usize] -= 1;
+                let image = exp.fanin_spans[y].0 + (arc - start);
+                x = above_exp.fanin_list[arc as usize];
+                y = exp.fanin_list[image as usize];
+                debug_assert_eq!(above_exp.nodes[x], exp.nodes[y]);
+                self.carried_arcs.push(image);
+            };
+            let path = CarriedPath {
+                arcs: (first, self.carried_arcs.len() as u32),
+                tail: y as u32,
+                extend,
+                kept: true,
+            };
+            self.route(exp, path, 1);
+            self.carried.push(path);
+        }
+        // Dead marks: replicas from which no extension reaches a leaf.
+        // Extensions only use up room, so a mark stays true until every
+        // path is placed; the failed paths are dropped after that.
+        self.next_epoch();
+        for p in 0..self.carried.len() {
+            let path = self.carried[p];
+            if path.extend && !self.extend_to_leaf(exp, path.tail as usize) {
+                self.carried[p].kept = false;
+            }
+        }
+        self.flow = 0;
+        for p in 0..self.carried.len() {
+            let path = self.carried[p];
+            if path.kept {
+                self.flow += 1;
+            } else {
+                self.route(exp, path, -1);
+            }
+        }
+    }
+
+    /// Adds (`units = 1`) or removes (`-1`) one unit along a carried
+    /// path's tail and arcs.
+    fn route(&mut self, exp: &Expansion, path: CarriedPath, units: i32) {
+        let tail = path.tail as usize;
+        self.through[tail] = self.through[tail].wrapping_add_signed(units);
+        debug_assert!(exp.must_inside[tail] || self.through[tail] <= 1);
+        for i in path.arcs.0..path.arcs.1 {
+            let arc = self.carried_arcs[i as usize] as usize;
+            self.along[arc] = self.along[arc].wrapping_add_signed(units);
+            let x = self.owner[arc] as usize;
+            self.through[x] = self.through[x].wrapping_add_signed(units);
+            debug_assert!(exp.must_inside[x] || self.through[x] <= 1);
+        }
+    }
+
+    /// Extends the unit that reaches the expanded replica `tail` back
+    /// to a leaf, over replicas with room left (a must-inside one, or one
+    /// no unit passes yet): a depth-first search over fanin arcs, marking
+    /// every replica it exhausts dead with the current epoch. Returns
+    /// false, changing nothing, when no such leaf is reachable.
+    fn extend_to_leaf(&mut self, exp: &Expansion, tail: usize) -> bool {
+        let dead = self.epoch;
+        if self.seen_out[tail] == dead {
+            return false;
+        }
+        self.stack.clear();
+        self.stack.push((tail as u32, exp.fanin_spans[tail].0));
+        while let Some(&mut (x, ref mut next)) = self.stack.last_mut() {
+            let (start, len) = exp.fanin_spans[x as usize];
+            if *next == start + len {
+                self.seen_out[x as usize] = dead;
+                self.stack.pop();
+                continue;
+            }
+            let arc = *next;
+            *next += 1;
+            let f = exp.fanin_list[arc as usize];
+            if self.seen_out[f] == dead || !(exp.must_inside[f] || self.through[f] == 0) {
+                continue;
+            }
+            if exp.expanded[f] {
+                self.stack.push((f as u32, exp.fanin_spans[f].0));
+                continue;
+            }
+            // `f` is a leaf: the unit now starts there.
+            self.through[f] += 1;
+            for &(x, next) in &self.stack {
+                self.along[next as usize - 1] += 1;
+                if x as usize != tail {
+                    self.through[x as usize] += 1;
+                }
+            }
+            return true;
+        }
+        false
+    }
+
+    /// Opens a new visit epoch: every stamp of an earlier one reads stale.
+    fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.seen_in.fill(0);
             self.seen_out.fill(0);
             self.epoch = 1;
         }
+    }
+
+    /// One BFS from the super-source; on reaching the root's out-half
+    /// (the sink), pushes one unit along the path found and returns true.
+    fn augment(&mut self, exp: &Expansion) -> bool {
+        self.next_epoch();
         self.queue.clear();
         for x in 0..exp.nodes.len() {
             if !exp.expanded[x] {
@@ -587,15 +799,27 @@ impl CutFlow {
 }
 
 /// Per-worker scratch of the label sweep and of mapping generation: the
-/// expansion under test, its build buffers and the flow on it. Each
-/// worker owns one (`&mut` access, never shared), so cut tests reuse
-/// these buffers instead of reallocating them.
+/// expansion under test, its build buffers, the flow on it, the
+/// expansion and flow one height above it, and the cone memo. Each
+/// worker owns one (`&mut` access, never shared) for a whole label probe
+/// or mapping generation, so cut tests reuse these buffers instead of
+/// reallocating them. A scratch serves one circuit: its cone memo is
+/// keyed by replicas of that circuit.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// The expansion of the last [`Scratch::expand`].
     pub exp: Expansion,
     build: BuildScratch,
     flow: CutFlow,
+    /// The expansion and flow [`Scratch::expand_below`] replaced, for
+    /// [`Scratch::carry_flow`].
+    above: Expansion,
+    above_flow: CutFlow,
+    /// Cone functions already simulated on this scratch's circuit.
+    pub cones: ConeMemo,
+    /// Augmenting paths [`Scratch::min_cut`] found, over the scratch's
+    /// life.
+    pub augmentations: u64,
 }
 
 impl Scratch {
@@ -616,11 +840,40 @@ impl Scratch {
         Ok(())
     }
 
+    /// [`Scratch::expand`] at a lower `height` of the same root, keeping
+    /// the expansion and flow it replaces for [`Scratch::carry_flow`].
+    pub fn expand_below(
+        &mut self,
+        c: &Circuit,
+        root: usize,
+        phi: i64,
+        labels: &[i64],
+        height: i64,
+        limits: ExpandLimits,
+    ) -> Result<(), ExpandFail> {
+        std::mem::swap(&mut self.exp, &mut self.above);
+        std::mem::swap(&mut self.flow, &mut self.above_flow);
+        self.expand(c, root, phi, labels, height, limits)
+    }
+
+    /// Starts the flow on [`Scratch::exp`] from the one above it (see
+    /// [`CutFlow::carry`]). The last [`Scratch::expand_below`] must have
+    /// succeeded, and the last [`Scratch::min_cut`] before it must have
+    /// returned a cut, so that the flow above is maximum.
+    pub fn carry_flow(&mut self) {
+        self.flow
+            .carry(&self.exp, &mut self.above_flow, &self.above);
+    }
+
     /// [`Expansion::min_cut`] on [`Scratch::exp`], continuing the flow of
-    /// earlier calls on the same expansion: after a test at limit `K`
-    /// fails, a test at `Cmax` only adds the missing augmenting paths.
+    /// earlier calls on the same expansion (or the one carried to it):
+    /// after a test at limit `K` fails, a test at `Cmax` only adds the
+    /// missing augmenting paths.
     pub fn min_cut(&mut self, limit: usize) -> Option<Vec<usize>> {
-        self.flow.min_cut(&self.exp, limit)
+        let before = self.flow.flow;
+        let cut = self.flow.min_cut(&self.exp, limit);
+        self.augmentations += (self.flow.flow - before) as u64;
+        cut
     }
 }
 
@@ -759,15 +1012,18 @@ mod tests {
 
     /// The kernel against the general max-flow reference on expansions
     /// of random FSM- and ISCAS-class circuits (random root, φ, height
-    /// and labels): same verdict and same cut at every K in 3..=6, and a
+    /// and labels): same verdict and same cut at every K in 3..=6, a
     /// K-limited flow continued to Cmax answers exactly like a fresh
-    /// Cmax-limited one.
+    /// Cmax-limited one, and so does a flow carried from height H to
+    /// H − 1 (and on down to H − 3).
     #[test]
     fn kernel_matches_the_max_flow_reference() {
         use turbosyn_graph::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(0x15);
         let mut scratch = Scratch::default();
         let (mut cuts, mut exceeded) = (0, 0);
+        let (mut carries, mut carried_units) = (0, 0);
+        let (mut carried_augmentations, mut fresh_augmentations) = (0, 0);
         for round in 0..48u64 {
             let c = if round % 2 == 0 {
                 gen::fsm(gen::FsmConfig {
@@ -825,11 +1081,117 @@ mod tests {
                         assert_eq!(flow.min_cut(exp, cmax), fresh, "K = {k} → Cmax = {cmax}");
                     }
                 }
+                // The descent: the maximum flow at `height` carried down
+                // one height at a time, while the cut stays within Cmax,
+                // answers exactly like a fresh flow at each height. Tight
+                // truncation limits make carried paths need extending.
+                let cmax = 15;
+                let limits = ExpandLimits {
+                    slack: rng.random_range(0usize..4),
+                    max_nodes: [16, 48, 4096][rng.random_range(0usize..3)],
+                };
+                let mut descent = Scratch::default();
+                if descent
+                    .expand(&c, root, phi, &labels, height, limits)
+                    .is_err()
+                {
+                    continue;
+                }
+                let mut cut = descent.min_cut(cmax);
+                for below in 1..=3 {
+                    if cut.is_none() {
+                        break;
+                    }
+                    let lower = height - below;
+                    let built = descent.expand_below(&c, root, phi, &labels, lower, limits);
+                    let mut fresh = Scratch::default();
+                    let fresh_built = fresh.expand(&c, root, phi, &labels, lower, limits);
+                    assert_eq!(built, fresh_built, "height {lower}");
+                    if built.is_err() {
+                        break;
+                    }
+                    descent.carry_flow();
+                    carried_units += descent.flow.flow;
+                    let before = descent.augmentations;
+                    cut = descent.min_cut(cmax);
+                    carried_augmentations += descent.augmentations - before;
+                    let want = fresh.min_cut(cmax);
+                    fresh_augmentations += fresh.augmentations;
+                    assert_eq!(cut, want, "carried to height {lower}");
+                    assert_eq!(cut, reference_cut(&descent.exp, cmax), "height {lower}");
+                    carries += 1;
+                }
             }
         }
         assert!(
             cuts > 100 && exceeded > 100,
             "{cuts} cuts, {exceeded} over K"
+        );
+        assert!(carries > 50, "{carries} carried flows");
+        assert!(
+            carried_units > 0 && carried_augmentations < fresh_augmentations,
+            "{carried_units} units carried; {carried_augmentations} augmentations \
+             after carrying, {fresh_augmentations} fresh"
+        );
+    }
+
+    /// The memoized cone function equals a fresh simulation, on min-cuts
+    /// of random FSM- and ISCAS-class circuits at random roots, φ and
+    /// heights; one memo per circuit, shared by every expansion of it.
+    #[test]
+    fn memoized_cone_functions_equal_fresh_simulation() {
+        use turbosyn_graph::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xC0E);
+        let (mut lookups, mut distinct) = (0, 0);
+        for round in 0..24u64 {
+            let c = if round % 2 == 0 {
+                gen::fsm(gen::FsmConfig {
+                    state_bits: rng.random_range(2usize..5),
+                    inputs: rng.random_range(2usize..6),
+                    outputs: 2,
+                    depth: rng.random_range(3usize..8),
+                    seed: round,
+                })
+            } else {
+                gen::iscas_like(gen::IscasConfig {
+                    layers: rng.random_range(4usize..9),
+                    width: rng.random_range(4usize..12),
+                    inputs: 6,
+                    outputs: 4,
+                    feedback_pct: 30,
+                    seed: round,
+                })
+            };
+            let labels: Vec<i64> = c
+                .node_ids()
+                .map(|id| match c.node(id).kind {
+                    NodeKind::Gate(_) => rng.random_range(1i64..6),
+                    _ => 0,
+                })
+                .collect();
+            let gates: Vec<usize> = c.gates().map(|g| g.index()).collect();
+            let mut memo = ConeMemo::default();
+            for _ in 0..12 {
+                let root = gates[rng.random_range(0..gates.len())];
+                let phi = rng.random_range(1i64..4);
+                for height in labels[root] - 2..=labels[root] + 1 {
+                    let Ok(exp) =
+                        Expansion::build(&c, root, phi, &labels, height, ExpandLimits::default())
+                    else {
+                        continue;
+                    };
+                    let Some(cut) = exp.min_cut(16) else {
+                        continue;
+                    };
+                    lookups += 1;
+                    assert_eq!(*memo.cone_tt(&exp, &c, &cut), exp.cone_tt(&c, &cut));
+                }
+            }
+            distinct += memo.tables.len();
+        }
+        assert!(
+            lookups > 200 && distinct < lookups,
+            "{lookups} lookups of {distinct} cones"
         );
     }
 }

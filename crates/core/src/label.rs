@@ -129,6 +129,12 @@ pub struct LabelStats {
     /// Positive-loop checks answered by the grounded fast path (a
     /// floor-labelled SCC member) without a reachability query.
     pub pld_checks_skipped: u64,
+    /// Min-cuts of the resynthesis descent below `L(v)` (heights
+    /// `L(v) − h`, `h >= 1`), each on a freshly built expansion.
+    pub descent_cuts: u64,
+    /// Augmenting paths those min-cuts found on top of the flow
+    /// carried down from the height above.
+    pub descent_augmentations: u64,
 }
 
 impl LabelStats {
@@ -151,6 +157,10 @@ impl LabelStats {
             pld_checks_skipped: self
                 .pld_checks_skipped
                 .saturating_sub(earlier.pld_checks_skipped),
+            descent_cuts: self.descent_cuts.saturating_sub(earlier.descent_cuts),
+            descent_augmentations: self
+                .descent_augmentations
+                .saturating_sub(earlier.descent_augmentations),
         }
     }
 }
@@ -167,6 +177,8 @@ impl std::ops::Add for LabelStats {
             candidates_skipped: self.candidates_skipped + rhs.candidates_skipped,
             warm_started_probes: self.warm_started_probes + rhs.warm_started_probes,
             pld_checks_skipped: self.pld_checks_skipped + rhs.pld_checks_skipped,
+            descent_cuts: self.descent_cuts + rhs.descent_cuts,
+            descent_augmentations: self.descent_augmentations + rhs.descent_augmentations,
         }
     }
 }
@@ -260,7 +272,11 @@ pub(crate) fn label_candidate(
     }
     if opts.resynthesis {
         stats.resyn_attempts += 1;
-        if resyn_realization(c, v, big_l, labels, opts, gauge, caches, scratch, deps)?.is_some() {
+        if resyn_realization(
+            c, v, big_l, labels, opts, stats, gauge, caches, scratch, deps,
+        )?
+        .is_some()
+        {
             stats.resyn_successes += 1;
             return Ok(big_l);
         }
@@ -275,7 +291,10 @@ pub(crate) fn label_candidate(
 ///
 /// `scratch` must hold `E_v` at height `L(v)` with the flow of its failed
 /// `K`-limited cut test, as both callers leave it: the `h = 0` step
-/// continues that flow to `Cmax` instead of rebuilding the expansion.
+/// continues that flow to `Cmax` instead of rebuilding the expansion, and
+/// each step below starts from the maximum flow of the step above
+/// (see [`Scratch::carry_flow`]). The steps below `L(v)` are counted in
+/// `stats` (`descent_cuts`, `descent_augmentations`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resyn_realization(
     c: &Circuit,
@@ -283,6 +302,7 @@ pub(crate) fn resyn_realization(
     big_l: i64,
     labels: &[i64],
     opts: &LabelOptions,
+    stats: &mut LabelStats,
     gauge: &Gauge,
     caches: &SessionCaches,
     scratch: &mut Scratch,
@@ -297,7 +317,7 @@ pub(crate) fn resyn_realization(
         if h > 0 {
             let built = {
                 let _t = gauge.trace().hot("expand");
-                scratch.expand(c, v, opts.phi, labels, height, opts.expand)
+                scratch.expand_below(c, v, opts.phi, labels, height, opts.expand)
             };
             if built.is_err() {
                 return Ok(None);
@@ -307,10 +327,18 @@ pub(crate) fn resyn_realization(
             }
         }
         gauge.charge(scratch.exp.nodes.len() as u64)?;
+        let augmentations = scratch.augmentations;
         let cut = {
             let _t = gauge.trace().hot("flow.min_cut");
+            if h > 0 {
+                scratch.carry_flow();
+            }
             scratch.min_cut(opts.cmax)
         };
+        if h > 0 {
+            stats.descent_cuts += 1;
+            stats.descent_augmentations += scratch.augmentations - augmentations;
+        }
         let Some(cut) = cut else {
             return Ok(None); // cut-size > Cmax (give up)
         };
@@ -332,6 +360,7 @@ pub(crate) fn resyn_realization(
             let _t = gauge.trace().hot("seqdecomp");
             crate::seqdecomp::resynthesize(
                 exp,
+                &mut scratch.cones,
                 c,
                 &cut,
                 opts.phi,
@@ -532,9 +561,9 @@ fn compute_labels_inner(
     // Member-local index of each node (u32::MAX = not in the current
     // SCC); allocated once, reset per SCC.
     let mut local = vec![u32::MAX; n];
-    // The serial sweep path's cut-test buffers, kept for the whole probe
-    // so they do not regrow on every sweep.
-    let mut scratch = Scratch::default();
+    // One scratch per sweep worker, kept for the whole probe so that its
+    // buffers do not regrow and its cone memo serves every sweep.
+    let mut scratches: Vec<Scratch> = (0..opts.jobs.max(1)).map(|_| Scratch::default()).collect();
 
     for sc in 0..cond.count() {
         let members: Vec<usize> = cond.members[sc]
@@ -652,7 +681,7 @@ fn compute_labels_inner(
                 gauge,
                 caches,
                 worklist,
-                &mut scratch,
+                &mut scratches,
             );
             let mut first_err = None;
             for r in &results {
@@ -674,6 +703,8 @@ fn compute_labels_inner(
                 stats.cut_tests += tstats.cut_tests;
                 stats.resyn_attempts += tstats.resyn_attempts;
                 stats.resyn_successes += tstats.resyn_successes;
+                stats.descent_cuts += tstats.descent_cuts;
+                stats.descent_augmentations += tstats.descent_augmentations;
                 let li = local[v] as usize;
                 let cand = cand.max(1);
                 if cand > labels[v] {
@@ -775,10 +806,10 @@ type TaskResult = Result<(i64, LabelStats, Vec<usize>), Interrupted>;
 /// pool. The unit of partitioning is the *worklist* — the already
 /// filtered pending tasks — not the SCC's node range, so workers stay
 /// evenly loaded even when most members are quiescent. Tasks are split
-/// into contiguous chunks (one per worker), each worker owns a private
-/// [`Scratch`] (the serial path uses the caller's `scratch`), and
-/// results land in per-task slots — so the caller merges them in
-/// deterministic task order regardless of scheduling.
+/// into contiguous chunks (one per worker), worker `i` works in
+/// `scratches[i]` (the probe's, so it outlives the sweep), and results
+/// land in per-task slots — so the caller merges them in deterministic
+/// task order regardless of scheduling.
 #[allow(clippy::too_many_arguments)]
 fn run_label_tasks(
     c: &Circuit,
@@ -788,7 +819,7 @@ fn run_label_tasks(
     gauge: &Gauge,
     caches: &SessionCaches,
     collect_deps: bool,
-    scratch: &mut Scratch,
+    scratches: &mut [Scratch],
 ) -> Vec<Option<TaskResult>> {
     let jobs = opts.jobs.max(1).min(tasks.len());
     let mut results: Vec<Option<TaskResult>> = vec![None; tasks.len()];
@@ -802,7 +833,7 @@ fn run_label_tasks(
                 opts,
                 gauge,
                 caches,
-                scratch,
+                &mut scratches[0],
                 collect_deps,
             );
             let stop = r.is_err();
@@ -816,10 +847,10 @@ fn run_label_tasks(
     let abort = AtomicBool::new(false);
     let chunk = tasks.len().div_ceil(jobs);
     std::thread::scope(|s| {
-        for (tchunk, rchunk) in tasks.chunks(chunk).zip(results.chunks_mut(chunk)) {
+        let chunks = tasks.chunks(chunk).zip(results.chunks_mut(chunk));
+        for ((tchunk, rchunk), scratch) in chunks.zip(scratches.iter_mut()) {
             let abort = &abort;
             s.spawn(move || {
-                let mut scratch = Scratch::default();
                 for (&(v, big_l), slot) in tchunk.iter().zip(rchunk.iter_mut()) {
                     if abort.load(Ordering::Relaxed) {
                         return;
@@ -832,7 +863,7 @@ fn run_label_tasks(
                         opts,
                         gauge,
                         caches,
-                        &mut scratch,
+                        scratch,
                         collect_deps,
                     );
                     let stop = r.is_err();
@@ -1012,6 +1043,101 @@ mod tests {
         let ub = turbosyn_retime::period_lower_bound(&c);
         let out = compute_labels(&c, &LabelOptions::turbomap(5, ub));
         assert!(out.is_feasible(), "gate-level bound {ub} must be feasible");
+    }
+
+    /// The descent's early return for a cut that already fits K. It
+    /// fires only through truncation: at height `L(v)` the expansion
+    /// stops at the frontier it materialized, and the deeper expansion
+    /// of a lower height reaches a narrower cut below it. With `slack` 0,
+    /// `v = AND(AND3(a1..a3), AND3(a4..a6))` over six inverters of one
+    /// gate `x` has the 6-input frontier `a1..a6` at height 3, and the
+    /// single input `x` at height 2.
+    #[test]
+    fn descent_returns_a_deeper_cut_that_fits_k() {
+        use crate::budget::{Budget, Gauge};
+        use turbosyn_netlist::circuit::Fanin;
+        use turbosyn_netlist::tt::TruthTable;
+        let mut c = Circuit::new("frontier");
+        let p = c.add_input("p");
+        let x = c.add_gate("x", TruthTable::inv(), vec![Fanin::wire(p)]);
+        let a: Vec<NodeId> = (0..6)
+            .map(|i| c.add_gate(format!("a{i}"), TruthTable::inv(), vec![Fanin::wire(x)]))
+            .collect();
+        let and3 = TruthTable::from_fn(3, |i| i == 7);
+        let m1 = c.add_gate(
+            "m1",
+            and3.clone(),
+            a[..3].iter().map(|&g| Fanin::wire(g)).collect(),
+        );
+        let m2 = c.add_gate("m2", and3, a[3..].iter().map(|&g| Fanin::wire(g)).collect());
+        let v = c.add_gate(
+            "v",
+            TruthTable::and2(),
+            vec![Fanin::wire(m1), Fanin::wire(m2)],
+        );
+        c.add_output("o", Fanin::wire(v));
+
+        let mut labels = vec![0i64; c.node_count()];
+        labels[x.index()] = 1;
+        for g in &a {
+            labels[g.index()] = 2;
+        }
+        for g in [m1, m2, v] {
+            labels[g.index()] = 3;
+        }
+        let opts = LabelOptions {
+            expand: ExpandLimits {
+                slack: 0,
+                ..ExpandLimits::default()
+            },
+            ..LabelOptions::turbosyn(5, 1)
+        };
+        let (v, big_l) = (v.index(), 3);
+        let mut scratch = Scratch::default();
+        scratch
+            .expand(&c, v, opts.phi, &labels, big_l, opts.expand)
+            .expect("expandable");
+        assert_eq!(
+            scratch.min_cut(opts.k),
+            None,
+            "the frontier a1..a6 exceeds K"
+        );
+        let caches = SessionCaches::new();
+        let mut stats = LabelStats::default();
+        let gauge = Gauge::new(Budget::default());
+        let r = resyn_realization(
+            &c,
+            v,
+            big_l,
+            &labels,
+            &opts,
+            &mut stats,
+            &gauge,
+            &caches,
+            &mut scratch,
+            None,
+        )
+        .expect("ungoverned")
+        .expect("the deeper cut fits K");
+        assert_eq!(r.luts.len(), 1);
+        assert_eq!(
+            r.luts[0].inputs,
+            [crate::seqdecomp::LutInput::Sequential {
+                orig: x.index(),
+                weight: 0
+            }]
+        );
+        assert_eq!(
+            r.luts[0].tt,
+            TruthTable::inv(),
+            "v = AND of six copies of !x"
+        );
+        assert_eq!(stats.descent_cuts, 1, "found at h = 1");
+        assert_eq!(
+            caches.decomp.len(),
+            1,
+            "only the h = 0 cut went to decomposition"
+        );
     }
 
     #[test]

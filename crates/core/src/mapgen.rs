@@ -14,7 +14,7 @@
 
 use crate::cache::SessionCaches;
 use crate::expand::{ExpandFail, Scratch};
-use crate::label::{resyn_realization, LabelOptions};
+use crate::label::{resyn_realization, LabelOptions, LabelStats};
 use crate::seqdecomp::{LutInput, Realization};
 use std::collections::HashMap;
 use turbosyn_netlist::{Circuit, Fanin, NodeId, NodeKind};
@@ -67,9 +67,10 @@ pub(crate) fn realize(
         // Sharing the session caches only shortcuts the replay: cached
         // decomposition verdicts are pure functions of their signatures.
         let replay = crate::budget::Gauge::new(crate::budget::Budget::default());
-        if let Ok(Some(r)) =
-            resyn_realization(c, v, h, labels, opts, &replay, caches, scratch, None)
-        {
+        let mut work = LabelStats::default();
+        if let Ok(Some(r)) = resyn_realization(
+            c, v, h, labels, opts, &mut work, &replay, caches, scratch, None,
+        ) {
             return Ok(r);
         }
     }

@@ -77,6 +77,11 @@ pub fn label_stats_to_json(stats: &LabelStats) -> Json {
         ("candidates_skipped", Json::from(stats.candidates_skipped)),
         ("warm_started_probes", Json::from(stats.warm_started_probes)),
         ("pld_checks_skipped", Json::from(stats.pld_checks_skipped)),
+        ("descent_cuts", Json::from(stats.descent_cuts)),
+        (
+            "descent_augmentations",
+            Json::from(stats.descent_augmentations),
+        ),
     ])
 }
 
@@ -221,13 +226,16 @@ mod tests {
             candidates_skipped: 5,
             warm_started_probes: 6,
             pld_checks_skipped: 7,
+            descent_cuts: 8,
+            descent_augmentations: 9,
         };
         let j = label_stats_to_json(&s);
         assert_eq!(
             j.write(),
             "{\"sweeps\":1,\"cut_tests\":2,\"resyn_attempts\":3,\
              \"resyn_successes\":4,\"candidates_skipped\":5,\
-             \"warm_started_probes\":6,\"pld_checks_skipped\":7}"
+             \"warm_started_probes\":6,\"pld_checks_skipped\":7,\
+             \"descent_cuts\":8,\"descent_augmentations\":9}"
         );
     }
 

@@ -21,8 +21,17 @@
 //! blocks. Cut functions have at most `Cmax <= 16` inputs, so a table is
 //! at most 1024 words. The result is a [`Realization`]: the LUT tree that
 //! mapping generation will instantiate.
+//!
+//! Two things keep the descent cheap. The cut function comes from the
+//! worker's [`ConeMemo`], so a cut the probe already met is not simulated
+//! again. And the bound-set windows of one size are tested by sliding a
+//! single table: column multiplicity does not depend on the order of the
+//! bound inputs or of the free ones, so moving from window `start` to
+//! `start + 1` is one input swap (the leaving input trades slots with
+//! the entering one). Only the window that passes is extracted, in
+//! canonical order, so the encoders and image do not depend on the slide.
 
-use crate::expand::{ExpNode, Expansion};
+use crate::expand::{ConeMemo, ExpNode, Expansion};
 use turbosyn_bdd::cache::{LutTemplate, SignatureKey, TemplateInput, TemplateLut};
 use turbosyn_bdd::DecompCache;
 use turbosyn_netlist::tt::TruthTable;
@@ -110,9 +119,11 @@ impl Realization {
 /// implements that extension: bound sets with column multiplicity up to 4
 /// become two encoder LUTs feeding the root.
 ///
-/// Memoized in `cache`, keyed by the canonical cut-function signature
-/// (truth table in cut order + criticality deltas + `k`/`max_wires`).
-/// The outcome is a pure function of the key, so hit replays are exact.
+/// The cut function is read from `cones` when it holds this root and cut.
+/// The outcome is memoized in `cache`, keyed by the canonical
+/// cut-function signature (truth table in cut order, criticality deltas,
+/// `k` and `max_wires`). It is a pure function of the key, so hit
+/// replays are exact.
 ///
 /// # Errors
 ///
@@ -121,6 +132,7 @@ impl Realization {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resynthesize(
     exp: &Expansion,
+    cones: &mut ConeMemo,
     c: &Circuit,
     cut: &[usize],
     phi: i64,
@@ -139,7 +151,7 @@ pub(crate) fn resynthesize(
         (1..=2).contains(&max_wires),
         "1 or 2 encoding wires supported"
     );
-    let f = exp.cone_tt(c, cut);
+    let f = cones.cone_tt(exp, c, cut);
     let key = SignatureKey {
         nvars: f.nvars(),
         tt: f.bits().to_vec(),
@@ -151,7 +163,7 @@ pub(crate) fn resynthesize(
     if let Some(outcome) = cache.get(&key) {
         return Ok(outcome.map(|t| instantiate(&t, &srcs)));
     }
-    let template = decompose_template(&f, &key.deltas, k, max_wires)?;
+    let template = decompose_template(f, &key.deltas, k, max_wires)?;
     let realization = template.as_ref().map(|t| instantiate(t, &srcs));
     cache.insert(key, template);
     Ok(realization)
@@ -268,39 +280,36 @@ fn decompose_template(
                 if size > MAX_BOUND {
                     return Err(WindowTooWide);
                 }
-                for start in 0..=(buriable - size) {
-                    let Some(Extraction { encoders, image }) =
-                        extract(&current, start, size, wires)
-                    else {
-                        continue; // multiplicity too high for `wires`
-                    };
-                    // New signals sit one LUT level above their worst member.
-                    let window = start..start + size;
-                    let delta = sigs[window.clone()]
-                        .iter()
-                        .map(|s| s.delta)
-                        .max()
-                        .expect("non-empty bound set")
-                        + 1;
-                    let enc_inputs: Vec<TemplateInput> =
-                        sigs.drain(window).map(|s| s.src).collect();
-                    // The image keeps the free inputs in order and takes
-                    // the encoder outputs as its top inputs.
-                    for enc in encoders {
-                        sigs.push(Sig {
-                            delta,
-                            src: TemplateInput::Lut(luts.len()),
-                        });
-                        luts.push(TemplateLut {
-                            nvars: enc.nvars(),
-                            bits: enc.bits().to_vec(),
-                            inputs: enc_inputs.clone(),
-                        });
-                    }
-                    current = image;
-                    extracted = true;
-                    break 'outer;
+                let Some(start) = first_window(&current, buriable, size, wires) else {
+                    continue; // multiplicity too high for `wires` everywhere
+                };
+                let Extraction { encoders, image } =
+                    extract(&current, start, size, wires).expect("the window passed the scan");
+                // New signals sit one LUT level above their worst member.
+                let window = start..start + size;
+                let delta = sigs[window.clone()]
+                    .iter()
+                    .map(|s| s.delta)
+                    .max()
+                    .expect("non-empty bound set")
+                    + 1;
+                let enc_inputs: Vec<TemplateInput> = sigs.drain(window).map(|s| s.src).collect();
+                // The image keeps the free inputs in order and takes
+                // the encoder outputs as its top inputs.
+                for enc in encoders {
+                    sigs.push(Sig {
+                        delta,
+                        src: TemplateInput::Lut(luts.len()),
+                    });
+                    luts.push(TemplateLut {
+                        nvars: enc.nvars(),
+                        bits: enc.bits().to_vec(),
+                        inputs: enc_inputs.clone(),
+                    });
                 }
+                current = image;
+                extracted = true;
+                break 'outer;
             }
         }
         if !extracted {
@@ -363,6 +372,82 @@ struct Extraction {
     /// The composition function over the free inputs, in order, followed
     /// by the encoder outputs.
     image: TruthTable,
+}
+
+/// The first window `start..start + size` of inputs, with `start + size
+/// <= buriable`, over which `f` has column multiplicity at most
+/// `2^wires`: the window [`extract`] accepts first.
+fn first_window(f: &TruthTable, buriable: usize, size: usize, wires: usize) -> Option<usize> {
+    let mut slide = WindowSlide::new(f, size);
+    loop {
+        if slide.fits(wires) {
+            return Some(slide.start);
+        }
+        if slide.start + size == buriable {
+            return None;
+        }
+        slide.advance();
+    }
+}
+
+/// The bound-set windows of one size, tested on one sliding table: `g`
+/// is `f` with window `start..start + size` on top, in some order, and
+/// the free inputs below it, in some order. Column multiplicity depends
+/// on neither order.
+struct WindowSlide {
+    g: TruthTable,
+    /// `slot[i]`: where input `i` of `f` sits in `g`.
+    slot: Vec<usize>,
+    size: usize,
+    start: usize,
+}
+
+impl WindowSlide {
+    /// Window 0 of `f`, moved on top in order.
+    fn new(f: &TruthTable, size: usize) -> WindowSlide {
+        let n = usize::from(f.nvars());
+        WindowSlide {
+            g: bound_on_top(f, 0, size),
+            slot: (0..n)
+                .map(|i| if i < size { n - size + i } else { i - size })
+                .collect(),
+            size,
+            start: 0,
+        }
+    }
+
+    /// Moves to the next window: the leaving input trades slots with the
+    /// entering one.
+    fn advance(&mut self) {
+        let (leaving, entering) = (self.start, self.start + self.size);
+        self.g
+            .swap_inputs(self.slot[leaving] as u8, self.slot[entering] as u8);
+        self.slot.swap(leaving, entering);
+        self.start += 1;
+    }
+
+    /// Whether [`extract`] accepts this window with `wires` encoders.
+    fn fits(&self, wires: usize) -> bool {
+        multiplicity_at_most(&self.g, self.size, 1 << wires)
+    }
+}
+
+/// Whether `g` has at most `limit` distinct cofactors over its top
+/// `size` inputs: [`cofactor_classes`]' verdict, without building the
+/// per-assignment class map no rejected window needs.
+fn multiplicity_at_most(g: &TruthTable, size: usize, limit: usize) -> bool {
+    let free = usize::from(g.nvars()) - size;
+    let mut reps: Vec<Column<'_>> = Vec::with_capacity(limit);
+    for b in 0..1usize << size {
+        let col = column(g, free, b);
+        if !reps.contains(&col) {
+            if reps.len() == limit {
+                return false;
+            }
+            reps.push(col);
+        }
+    }
+    true
 }
 
 /// `f` with its inputs `start..start + size` moved, in order, to the top:
@@ -511,9 +596,20 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("wide cut exists");
         assert!(cut.len() > 5, "cut should exceed K=5, got {}", cut.len());
-        let real = resynthesize(&exp, &c, &cut, 1, &labels, 2, 5, 1, &DecompCache::new())
-            .expect("windows fit")
-            .expect("decomposes");
+        let real = resynthesize(
+            &exp,
+            &mut ConeMemo::default(),
+            &c,
+            &cut,
+            1,
+            &labels,
+            2,
+            5,
+            1,
+            &DecompCache::new(),
+        )
+        .expect("windows fit")
+        .expect("decomposes");
         assert!(real.lut_count() >= 2);
         for lut in &real.luts {
             assert!(lut.inputs.len() <= 5);
@@ -543,11 +639,20 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 1, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("cut exists");
         assert!(cut.len() > 5, "cut should exceed K=5");
-        assert!(
-            resynthesize(&exp, &c, &cut, 1, &labels, 1, 5, 1, &DecompCache::new())
-                .expect("windows fit")
-                .is_none()
-        );
+        assert!(resynthesize(
+            &exp,
+            &mut ConeMemo::default(),
+            &c,
+            &cut,
+            1,
+            &labels,
+            1,
+            5,
+            1,
+            &DecompCache::new()
+        )
+        .expect("windows fit")
+        .is_none());
     }
 
     /// A wide AND is always decomposable: chain of ANDs.
@@ -580,9 +685,20 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("cut exists");
         assert_eq!(cut.len(), 8, "cut is the 8 PIs");
-        let real = resynthesize(&exp, &c, &cut, 1, &labels, 2, 4, 1, &DecompCache::new())
-            .expect("windows fit")
-            .expect("AND decomposes");
+        let real = resynthesize(
+            &exp,
+            &mut ConeMemo::default(),
+            &c,
+            &cut,
+            1,
+            &labels,
+            2,
+            4,
+            1,
+            &DecompCache::new(),
+        )
+        .expect("windows fit")
+        .expect("AND decomposes");
         assert!(real.luts.iter().all(|l| l.inputs.len() <= 4));
         assert!(real.lut_count() >= 3);
     }
@@ -631,6 +747,51 @@ mod tests {
             }
             g.eval(idx)
         })
+    }
+
+    /// The sliding scan accepts exactly the windows `extract` accepts:
+    /// seeded tables of 3–15 inputs (fully random, or decomposable over a
+    /// random window with one to two wires), every window size and
+    /// start, 1 and 2 wires; and `first_window` picks the first of them.
+    #[test]
+    fn sliding_scan_accepts_exactly_the_windows_extract_accepts() {
+        let mut rng = StdRng::seed_from_u64(0x51DE);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..60 {
+            let n = rng.random_range(3usize..16);
+            let shape_size = rng.random_range(1usize..n);
+            let shape_start = rng.random_range(0..n - shape_size + 1);
+            let r = rng.random_range(0usize..3);
+            let f = structured(&mut rng, n, shape_start, shape_size, r);
+            for size in 1..=n {
+                for wires in 1..=2 {
+                    let mut slide = WindowSlide::new(&f, size);
+                    let mut first = None;
+                    for start in 0..=n - size {
+                        if start > 0 {
+                            slide.advance();
+                        }
+                        let fits = slide.fits(wires);
+                        assert_eq!(
+                            fits,
+                            extract(&f, start, size, wires).is_some(),
+                            "n {n} window {start}+{size} wires {wires}"
+                        );
+                        if fits {
+                            accepted += 1;
+                            first = first.or(Some(start));
+                        } else {
+                            rejected += 1;
+                        }
+                    }
+                    assert_eq!(first_window(&f, n, size, wires), first);
+                }
+            }
+        }
+        assert!(
+            accepted > 500 && rejected > 500,
+            "{accepted} windows accepted, {rejected} rejected"
+        );
     }
 
     /// The truth-table extraction matches the BDD reference

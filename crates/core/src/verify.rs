@@ -124,11 +124,18 @@ pub fn verify_mapping(
     let tr = trace(orig, &stim);
 
     // Map every mapped node to its original counterpart by name (PIs and
-    // rooted LUTs); syn nodes get None.
-    let mut orig_of: Vec<Option<usize>> = Vec::with_capacity(mapped.node_count());
-    for id in mapped.node_ids() {
-        orig_of.push(orig.find(&mapped.node(id).name).map(NodeId::index));
+    // rooted LUTs); syn nodes get None. A name names the first original
+    // node that carries it, as `Circuit::find` does.
+    let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(orig.node_count());
+    for id in orig.node_ids() {
+        by_name
+            .entry(orig.node(id).name.as_str())
+            .or_insert(id.index());
     }
+    let orig_of: Vec<Option<usize>> = mapped
+        .node_ids()
+        .map(|id| by_name.get(mapped.node(id).name.as_str()).copied())
+        .collect();
 
     // Initialization shadow: largest fanin register count in the mapped
     // circuit bounds every cone's interior path weight.
@@ -218,8 +225,8 @@ pub fn verify_mapping(
     // POs: same driver signal at the same offset.
     for &po in mapped.outputs() {
         let name = &mapped.node(po).name;
-        let opo = orig.find(name).expect("name sets match");
-        let of = orig.node(opo).fanins[0];
+        let opo = by_name[name.as_str()];
+        let of = orig.node(NodeId::from_index(opo)).fanins[0];
         let mf = mapped.node(po).fanins[0];
         for t in shadow..cycles {
             let want = if (t as i64) < i64::from(of.weight) {

@@ -509,6 +509,8 @@ pub fn label_stats_from_json(j: &Json) -> LabelStats {
         candidates_skipped: get("candidates_skipped"),
         warm_started_probes: get("warm_started_probes"),
         pld_checks_skipped: get("pld_checks_skipped"),
+        descent_cuts: get("descent_cuts"),
+        descent_augmentations: get("descent_augmentations"),
     }
 }
 
